@@ -6,7 +6,7 @@ as scanning a dense parameter grid while solving <= 15% of the grid's
 points.  Both sides run the same batch evaluator, so the point-count
 ratio is a pure search-efficiency measure -- deterministic for fixed
 queries, which makes it transfer across runners far better than raw
-timings (same rationale as the warm-start iteration ratios).
+timings.
 
 ``speedup`` is grid-points over optimizer-points; the gated baselines
 live in benchmarks/baselines/BENCH_opt.json.

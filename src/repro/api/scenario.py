@@ -189,19 +189,6 @@ class Backend:
     batch:
         Optional vectorized companion over a list of param dicts
         (bit-identical values; the sweep runner's fast path).
-    warm:
-        Optional warm-start companion ``(params_list, seeds) ->
-        (raw_values_list, states_list)``: like ``batch`` but accepting
-        one initial-state array (or ``None`` for a cold start) per
-        point, and returning each point's converged solver state
-        alongside its values so the sweep runner can seed neighbouring
-        points.  Only meaningful alongside ``batch``.
-    staged:
-        Whether ``warm`` additionally accepts a ``stager`` keyword and
-        forwards it to the batched fixed-point solve, so the sweep
-        runner can stage every refinement pass inside one solver call
-        (see :class:`repro.core.solver.solve_fixed_point_batch`).
-        Only meaningful alongside ``warm``.
     hints:
         Declared shape knowledge for the optimizer: solved column ->
         ``{param: "increasing" | "decreasing" | "unimodal"}``.
@@ -219,8 +206,6 @@ class Backend:
     uses: tuple[str, ...] | None = None
     defaults: Mapping[str, object] = field(default_factory=dict)
     batch: Callable[[Sequence[Mapping[str, object]]], list] | None = None
-    warm: Callable[..., tuple] | None = None
-    staged: bool = False
     hints: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
     doc: str = ""
 
@@ -233,17 +218,6 @@ class Backend:
             )
         if not self.evaluator:
             raise ValueError("backend evaluator name must be non-empty")
-        if self.warm is not None and self.batch is None:
-            raise ValueError(
-                f"backend {self.evaluator!r} declares a warm companion "
-                "without a batch companion; warm-start rides the batch "
-                "fast path"
-            )
-        if self.staged and self.warm is None:
-            raise ValueError(
-                f"backend {self.evaluator!r} declares staged activation "
-                "without a warm companion; staging extends the warm path"
-            )
         for column, shapes in self.hints.items():
             for param, shape in dict(shapes).items():
                 if shape not in self._HINT_SHAPES:
@@ -651,7 +625,7 @@ class Scenario:
                  maximize: str | None = None, knee: str | None = None,
                  over: Mapping[str, object] | None = None,
                  subject_to: object = None, backend: str = "analytic",
-                 warm_start: bool = False, max_solves: int = 48,
+                 max_solves: int = 48,
                  width: int = 4, xtol: float | None = None,
                  grid: int = 9, rounds: int = 3,
                  metrics: object = None, events: object = None):
@@ -690,15 +664,15 @@ class Scenario:
                     result = run_optimize(
                         self, minimize=minimize, maximize=maximize,
                         knee=knee, over=over, subject_to=subject_to,
-                        role=backend, warm_start=warm_start,
-                        width=width, xtol=xtol, max_solves=max_solves,
+                        role=backend, width=width, xtol=xtol,
+                        max_solves=max_solves,
                         grid=grid, rounds=rounds,
                     )
             else:
                 result = run_optimize(
                     self, minimize=minimize, maximize=maximize, knee=knee,
                     over=over, subject_to=subject_to, role=backend,
-                    warm_start=warm_start, width=width, xtol=xtol,
+                    width=width, xtol=xtol,
                     max_solves=max_solves, grid=grid, rounds=rounds,
                 )
         finally:

@@ -153,57 +153,6 @@ def _alltoall_model_batch(
     return [_alltoall_values(sol) for sol in solve_batch(grid)]
 
 
-def _stack_seeds(
-    seeds: Sequence[object], shape: tuple[int, ...]
-) -> np.ndarray:
-    """Stack per-point seed arrays into a batch ``x0``.
-
-    ``None`` entries (and seeds of the wrong shape, e.g. from a network
-    whose structure changed along the sweep) become NaN rows, which the
-    batch kernels treat as cold starts -- an all-``None`` chunk solves
-    bit-identically to the plain batch companion, while its points
-    still land in the ``cold_iterations`` telemetry split.
-    """
-    x0 = np.full((len(seeds),) + shape, np.nan)
-    for i, seed in enumerate(seeds):
-        if seed is None:
-            continue
-        arr = np.asarray(seed, dtype=float)
-        if arr.shape == shape:
-            x0[i] = arr
-    return x0
-
-
-def _alltoall_state(sol) -> np.ndarray:
-    """One point's fixed-point state ``[Rw, Rq, Ry]`` for warm-starting."""
-    return np.array(
-        [sol.compute_residence, sol.request_residence, sol.reply_residence]
-    )
-
-
-def _alltoall_model_warm(
-    params_list: Sequence[Mapping[str, object]],
-    seeds: Sequence[object],
-    stager: object | None = None,
-) -> tuple[list[dict[str, object]], list[np.ndarray]]:
-    grid = [
-        LoPCParams(
-            machine=machine_from_params(params),
-            algorithm=AlgorithmParams(work=float(params["W"])),
-        )
-        for params in params_list
-    ]
-    solutions = solve_batch(grid, x0=_stack_seeds(seeds, (3,)), stager=stager)
-    # One stacked extraction: a per-point _alltoall_state() np.array call
-    # is measurable overhead at dense-grid point counts.
-    states = np.column_stack([
-        [sol.compute_residence for sol in solutions],
-        [sol.request_residence for sol in solutions],
-        [sol.reply_residence for sol in solutions],
-    ])
-    return [_alltoall_values(sol) for sol in solutions], list(states)
-
-
 def _alltoall_bounds(params: Mapping[str, object]) -> dict[str, object]:
     machine = machine_from_params(params)
     lower, upper = contention_bounds(machine, float(params["W"]))
@@ -275,8 +224,6 @@ class AllToAllScenario(Scenario):
             func=_alltoall_model,
             uses=("P", "St", "So", "C2", "W"),
             batch=_alltoall_model_batch,
-            warm=_alltoall_model_warm,
-            staged=True,
             # Verified numerically over the fuzz domain: per-node R
             # grows with work and both service costs, throughput falls
             # with work.  R is *constant in P* for this symmetric
@@ -343,28 +290,6 @@ def _sharedmem_model_batch(
     ]
 
 
-def _sharedmem_model_warm(
-    params_list: Sequence[Mapping[str, object]],
-    seeds: Sequence[object],
-    stager: object | None = None,
-) -> tuple[list[dict[str, object]], list[np.ndarray]]:
-    grid = [
-        LoPCParams(
-            machine=machine_from_params(params),
-            algorithm=AlgorithmParams(work=float(params["W"])),
-        )
-        for params in params_list
-    ]
-    solutions = solve_batch(
-        grid, x0=_stack_seeds(seeds, (3,)), protocol_processor=True,
-        stager=stager,
-    )
-    return (
-        [_alltoall_values(sol) for sol in solutions],
-        [_alltoall_state(sol) for sol in solutions],
-    )
-
-
 class SharedMemoryScenario(Scenario):
     """Shared-memory node with a protocol processor (paper Section 5.1).
 
@@ -389,8 +314,6 @@ class SharedMemoryScenario(Scenario):
             func=_sharedmem_model,
             uses=("P", "St", "So", "C2", "W"),
             batch=_sharedmem_model_batch,
-            warm=_sharedmem_model_warm,
-            staged=True,
             # Same symmetric pattern as alltoall (R constant in P).
             hints={
                 "R": {"W": "increasing", "So": "increasing",
@@ -439,27 +362,6 @@ def _workpile_model_batch(
         [int(p["Ps"]) for p in params_list],
     )
     return [_workpile_values(sol) for sol in solutions]
-
-
-def _workpile_model_warm(
-    params_list: Sequence[Mapping[str, object]],
-    seeds: Sequence[object],
-) -> tuple[list[dict[str, object]], list[np.ndarray]]:
-    for params in params_list:
-        machine_from_params(params)
-    solutions = solve_workpile_batch(
-        [float(p["W"]) for p in params_list],
-        [float(p["St"]) for p in params_list],
-        [float(p["So"]) for p in params_list],
-        [float(p.get("C2", 0.0)) for p in params_list],
-        [int(p["P"]) for p in params_list],
-        [int(p["Ps"]) for p in params_list],
-        x0=_stack_seeds(seeds, (1,)),
-    )
-    return (
-        [_workpile_values(sol) for sol in solutions],
-        [np.array([sol.server_residence]) for sol in solutions],
-    )
 
 
 def _workpile_sim(params: Mapping[str, object]) -> dict[str, object]:
@@ -548,7 +450,6 @@ class WorkpileScenario(Scenario):
             func=_workpile_model,
             uses=("P", "St", "So", "C2", "W", "Ps"),
             batch=_workpile_model_batch,
-            warm=_workpile_model_warm,
             # Verified numerically: per-chunk response falls as servers
             # are added (less queueing) and grows with work and machine
             # size; aggregate throughput *peaks* at an interior
@@ -702,27 +603,9 @@ def _multiclass_model(params: Mapping[str, object]) -> dict[str, object]:
 def _multiclass_model_batch(
     params_list: Sequence[Mapping[str, object]],
 ) -> list[dict[str, object]]:
-    values, _ = _multiclass_solve_grouped(params_list, None)
-    return values
-
-
-def _multiclass_model_warm(
-    params_list: Sequence[Mapping[str, object]],
-    seeds: Sequence[object],
-) -> tuple[list[dict[str, object]], list[np.ndarray | None]]:
-    return _multiclass_solve_grouped(params_list, seeds)
-
-
-def _multiclass_solve_grouped(
-    params_list: Sequence[Mapping[str, object]],
-    seeds: Sequence[object] | None,
-) -> tuple[list[dict[str, object]], list[np.ndarray | None]]:
     # Points sharing a structure (method, kinds, class/centre counts)
     # batch into one vectorized kernel call; a heterogeneous miss list
-    # (e.g. a method axis) becomes one call per group, in order.  Seeds
-    # (class-queue matrices from neighbouring solves) apply to the AMVA
-    # groups only; the exact recursion has no fixed point to warm-start
-    # and reports no state.
+    # (e.g. a method axis) becomes one call per group, in order.
     parsed = [_multiclass_network_from_params(p) for p in params_list]
     groups: dict[tuple, list[int]] = {}
     for i, (demands, populations, _, kinds, method) in enumerate(parsed):
@@ -735,7 +618,6 @@ def _multiclass_solve_grouped(
         groups.setdefault(signature, []).append(i)
 
     out: list[dict[str, object] | None] = [None] * len(parsed)
-    states: list[np.ndarray | None] = [None] * len(parsed)
     for (method, kinds, _, _), indices in groups.items():
         demands = np.array([parsed[i][0] for i in indices])
         populations = np.array([parsed[i][1] for i in indices])
@@ -746,22 +628,13 @@ def _multiclass_solve_grouped(
                 demands, populations, think_times, kinds=kinds_list
             )
         else:
-            x0 = (
-                _stack_seeds(
-                    [seeds[i] for i in indices], demands.shape[1:]
-                )
-                if seeds is not None
-                else None
-            )
             batch = batch_multiclass_amva(
                 demands, populations, think_times, kinds=kinds_list,
-                method=method, x0=x0,
+                method=method,
             )
-            for j, i in enumerate(indices):
-                states[i] = np.array(batch.class_queue_lengths[j])
         for j, i in enumerate(indices):
             out[i] = _multiclass_values_from_batch(batch, j)
-    return out, states
+    return out
 
 
 class MultiClassScenario(Scenario):
@@ -794,7 +667,6 @@ class MultiClassScenario(Scenario):
             uses=None,  # the whole schema, families included
             defaults={"method": "exact"},
             batch=_multiclass_model_batch,
-            warm=_multiclass_model_warm,
             doc="exact or approximate multi-class MVA",
         ),
     )

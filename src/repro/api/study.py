@@ -194,19 +194,13 @@ class Study:
         role: str = "analytic",
         name: str | None = None,
         *,
-        warm_start: bool = False,
         metrics: object = None,
         progress: object = None,
         events: object = None,
     ) -> SweepResult:
         """Evaluate every point through the existing sweep runner.
 
-        ``warm_start=True`` seeds each point's solver iteration from
-        neighbouring points along the swept axes (see
-        :func:`~repro.sweep.runner.run_sweep`) -- same fixed points to
-        within solver tolerance, same cache keys, roughly half the AMVA
-        iterations on dense grids.  ``metrics`` / ``progress`` /
-        ``events`` plumb straight to
+        ``metrics`` / ``progress`` / ``events`` plumb straight to
         :func:`~repro.sweep.runner.run_sweep`'s telemetry arguments:
         pass ``metrics=True`` (or a registry) to get solver iteration
         stats, cache traffic and routing splits in the result metadata,
@@ -218,7 +212,6 @@ class Study:
             cache=self.cache,
             jobs=self.jobs,
             batch=self.batch,
-            warm_start=warm_start,
             metrics=metrics,
             progress=progress,
             events=events,

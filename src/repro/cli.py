@@ -7,7 +7,6 @@ Usage::
                            [--seed S] [--cache-dir .lopc-cache]
     lopc-repro run-all [--out results/] [--fast] [--jobs 4] [...]
     lopc-repro sweep spec.json [--jobs 4] [--cache-dir D] [--out results/]
-                               [--warm-start]
     lopc-repro scenario --list
     lopc-repro scenario alltoall --describe
     lopc-repro scenario alltoall P=32 St=40 So=200 W=1000
@@ -24,7 +23,7 @@ Usage::
                     [--sim-points N] [--opt-queries N] [--no-shrink]
     lopc-repro serve [--host H] [--port P] [--workers N]
                      [--cache-dir D] [--cache-backend sqlite|files]
-    lopc-repro submit spec.json --url http://H:P [--warm-start] [--wait]
+    lopc-repro submit spec.json --url http://H:P [--wait]
     lopc-repro status JOB --url http://H:P [--since N]
     lopc-repro fetch JOB --url http://H:P [--out results/]
     lopc-repro query alltoall P=32 St=40 So=200 W=1000 --url http://H:P
@@ -209,8 +208,6 @@ def _sweep_metrics_payload(result) -> dict:
         "elapsed": meta.get("elapsed"),
         "metrics": meta.get("telemetry"),
     }
-    if meta.get("warm_start") is not None:
-        payload["warm_start"] = meta["warm_start"]
     return payload
 
 
@@ -222,7 +219,6 @@ def _run_sweep_file(args: argparse.Namespace) -> int:
         spec = spec.with_seed(args.seed)
     result = run_sweep(spec, cache=_cache_from_args(args),
                        jobs=args.jobs if args.jobs is not None else 1,
-                       warm_start=args.warm_start,
                        **_telemetry_kwargs(args))
     print(format_table(result.to_experiment_result()))
     print(f"\n({spec.name}: {result.summary()})\n")
@@ -277,18 +273,11 @@ def _run_scenario(args: argparse.Namespace,
                 "with --sweep seed=...; drop one of the two"
             )
 
-    if args.warm_start and not axes:
-        parser.error(
-            "--warm-start seeds solves from neighbouring sweep points; "
-            "it needs at least one --sweep axis"
-        )
-
     if axes:
         study = sc.study(jobs=args.jobs if args.jobs is not None else 1,
                          cache=_cache_from_args(args), seed=args.seed,
                          **axes)
-        result = study.run(args.backend, warm_start=args.warm_start,
-                           **_telemetry_kwargs(args))
+        result = study.run(args.backend, **_telemetry_kwargs(args))
         print(format_table(result.to_experiment_result()))
         print(f"\n({result.spec_name}: {result.summary()})\n")
         if args.metrics is not None:
@@ -372,7 +361,6 @@ def _run_optimize(args: argparse.Namespace,
         over=over,
         subject_to=args.subject_to or None,
         backend=args.backend,
-        warm_start=args.warm_start,
         max_solves=args.max_solves,
         metrics=args.metrics is not None,
         events=args.events,
@@ -497,7 +485,7 @@ def _run_submit(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
     client = _serve_client(args)
-    job_id = client.submit(spec, warm_start=args.warm_start)
+    job_id = client.submit(spec)
     print(job_id)
     if args.wait:
         result = client.wait(job_id, timeout=args.timeout)
@@ -724,12 +712,6 @@ def _run_stats(args: argparse.Namespace) -> int:
             f"{count} {route}" for route, count in sorted(routing.items())
             if count
         ))
-    warm = data.get("warm_start")
-    if warm:
-        print(
-            f"warm-start: {warm.get('seeded', 0)} seeded / "
-            f"{warm.get('cold', 0)} cold over {warm.get('chunks', 0)} chunk(s)"
-        )
     if not isinstance(registry, dict) or not any(
         registry.get(k) for k in ("counters", "gauges", "stats", "timers")
     ):
@@ -842,10 +824,6 @@ def main(argv: list[str] | None = None) -> int:
     sweep_p.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
                          help="content-addressed result cache directory")
     _add_cache_backend_option(sweep_p)
-    sweep_p.add_argument("--warm-start", action="store_true",
-                         help="seed each solve from neighbouring sweep "
-                              "points (same results and cache keys, "
-                              "fewer solver iterations)")
     _add_telemetry_options(sweep_p)
 
     scenario_p = sub.add_parser(
@@ -880,10 +858,6 @@ def main(argv: list[str] | None = None) -> int:
                             metavar="DIR",
                             help="content-addressed result cache directory")
     _add_cache_backend_option(scenario_p)
-    scenario_p.add_argument("--warm-start", action="store_true",
-                            help="seed each solve from neighbouring sweep "
-                                 "points (same results and cache keys, "
-                                 "fewer solver iterations)")
     scenario_p.add_argument("--out", type=Path, default=None,
                             help="directory for the .csv (study) or "
                                  ".json (single point) export")
@@ -905,9 +879,6 @@ def main(argv: list[str] | None = None) -> int:
     optimize_p.add_argument("--backend", default="analytic",
                             help="backend role to solve with "
                                  "(default: analytic)")
-    optimize_p.add_argument("--warm-start", action="store_true",
-                            help="seed each batch solve from the nearest "
-                                 "already-solved point")
     optimize_p.add_argument("--max-solves", type=int, default=48, metavar="N",
                             help="batch-solve budget (default: 48)")
     optimize_p.add_argument("--out", type=Path, default=None,
@@ -992,8 +963,6 @@ def main(argv: list[str] | None = None) -> int:
     submit_p.add_argument("spec", type=Path, help="SweepSpec JSON file")
     submit_p.add_argument("--seed", type=int, default=None, metavar="S",
                           help="spec-level seed (derives per-point seeds)")
-    submit_p.add_argument("--warm-start", action="store_true",
-                          help="ask the server to warm-start the solves")
     submit_p.add_argument("--wait", action="store_true",
                           help="block until done and print the result")
     submit_p.add_argument("--out", type=Path, default=None,

@@ -114,17 +114,8 @@ class AllToAllModel:
 
         return update
 
-    def solve(
-        self,
-        algorithm: AlgorithmParams,
-        x0: Sequence[float] | np.ndarray | None = None,
-    ) -> ModelSolution:
-        """Solve the AMVA system for the given algorithmic parameters.
-
-        ``x0`` optionally warm-starts the fixed point from a
-        ``[Rw, Rq, Ry]`` state (typically a neighbouring solution's
-        residences); the solution reached is the same within ``tol``.
-        """
+    def solve(self, algorithm: AlgorithmParams) -> ModelSolution:
+        """Solve the AMVA system for the given algorithmic parameters."""
         m = self.machine
         work = algorithm.work
         # Contention-free starting point: [W, So, So].
@@ -132,7 +123,6 @@ class AllToAllModel:
         result = solve_fixed_point(
             self._map(work),
             initial,
-            x0=x0,
             damping=self.damping,
             tol=self.tol,
             max_iter=self.max_iter,
@@ -213,8 +203,6 @@ def solve_batch_arrays(
     handler_times: Sequence[float] | np.ndarray,
     cv2s: Sequence[float] | np.ndarray,
     *,
-    x0: np.ndarray | None = None,
-    stager: object | None = None,
     protocol_processor: bool = False,
     damping: float = 0.5,
     tol: float = 1e-12,
@@ -242,13 +230,6 @@ def solve_batch_arrays(
     :class:`~repro.core.solver.ConvergenceError` naming the point; the
     scalar path raises a ``ValueError`` from the BKT guard at the same
     parameters.
-
-    ``x0`` optionally warm-starts points from a ``(points, 3)`` array of
-    ``[Rw, Rq, Ry]`` states; rows with any non-finite entry
-    (conventionally ``nan``) keep the cold contention-free start, so one
-    call mixes seeded and cold points.  ``stager`` optionally stages
-    point activation inside the solve (see
-    :func:`repro.core.solver.solve_fixed_point_batch`).
     """
     w, st, so, cv2 = np.broadcast_arrays(
         np.asarray(works, dtype=float),
@@ -291,8 +272,6 @@ def solve_batch_arrays(
     result = solve_fixed_point_batch(
         update,
         initial,
-        x0=x0,
-        stager=stager,
         damping=damping,
         tol=tol,
         max_iter=max_iter,
@@ -317,8 +296,6 @@ def solve_batch_arrays(
 def solve_batch(
     params: Sequence[LoPCParams],
     *,
-    x0: np.ndarray | None = None,
-    stager: object | None = None,
     protocol_processor: bool = False,
     damping: float = 0.5,
     tol: float = 1e-12,
@@ -330,8 +307,6 @@ def solve_batch(
     ``P``); each solution is bit-identical to
     ``AllToAllModel(p.machine).solve(p.algorithm)`` for the matching
     point, with ``meta["batched"] = True`` marking the provenance.
-    ``x0`` and ``stager`` pass warm-start states / staged activation
-    through to :func:`solve_batch_arrays`.
     """
     if len(params) == 0:
         return []
@@ -346,8 +321,6 @@ def solve_batch(
         [p.machine.latency for p in params],
         [p.machine.handler_time for p in params],
         [p.machine.handler_cv2 for p in params],
-        x0=x0,
-        stager=stager,
         protocol_processor=protocol_processor,
         damping=damping,
         tol=tol,

@@ -164,17 +164,8 @@ class ClientServerModel:
         return servers
 
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        servers: int,
-        x0: Sequence[float] | np.ndarray | None = None,
-    ) -> WorkpileSolution:
-        """Solve the AMVA system for a split with ``servers`` server nodes.
-
-        ``x0`` optionally warm-starts the fixed point from a ``[Rs]``
-        state (typically a neighbouring split's server residence); the
-        solution reached is the same within ``tol``.
-        """
+    def solve(self, servers: int) -> WorkpileSolution:
+        """Solve the AMVA system for a split with ``servers`` server nodes."""
         servers = self._check_split(servers)
         m = self.machine
         clients = m.processors - servers
@@ -192,7 +183,6 @@ class ClientServerModel:
         result = solve_fixed_point(
             update,
             np.array([so]),
-            x0=x0,
             damping=self.damping,
             tol=self.tol,
             max_iter=self.max_iter,
@@ -306,7 +296,6 @@ def solve_workpile_batch(
     processors: Sequence[int] | np.ndarray,
     servers: Sequence[int] | np.ndarray,
     *,
-    x0: np.ndarray | None = None,
     damping: float = 0.5,
     tol: float = 1e-12,
     max_iter: int = 50_000,
@@ -319,10 +308,6 @@ def solve_workpile_batch(
     returned :class:`WorkpileSolution` is bit-identical to the matching
     ``ClientServerModel(machine, work).solve(servers)`` call, with
     ``meta["batched"] = True`` marking the provenance.
-
-    ``x0`` optionally warm-starts points from a ``(points,)`` or
-    ``(points, 1)`` array of ``Rs`` states; non-finite entries
-    (conventionally ``nan``) keep the cold ``So`` start.
     """
     w, st, so, cv2, p, ps = np.broadcast_arrays(
         np.asarray(works, dtype=float),
@@ -364,14 +349,9 @@ def solve_workpile_batch(
             new_rs = so_r * (1.0 + qs + rc)  # Eq. 6.5
         return new_rs[:, np.newaxis]
 
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim == 1:
-            x0 = x0[:, np.newaxis]
     result = solve_fixed_point_batch(
         update,
         so[:, np.newaxis].copy(),
-        x0=x0,
         damping=damping,
         tol=tol,
         max_iter=max_iter,

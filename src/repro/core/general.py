@@ -328,28 +328,17 @@ class GeneralLoPCModel:
             new_rw = (works + so * qq) / denom  # A.9
         return np.concatenate([new_rw, new_rq, new_ry])
 
-    def solve(
-        self, x0: Sequence[float] | np.ndarray | None = None
-    ) -> GeneralSolution:
-        """Solve the Appendix-A system by damped fixed-point iteration.
-
-        ``x0`` optionally warm-starts the fixed point from a flat
-        ``(3 P,)`` state (the concatenated ``[Rw, Rq, Ry]`` per-node
-        residences, or a ``(3, P)`` stack, which is flattened); the
-        solution reached is the same within ``tol``.
-        """
+    def solve(self) -> GeneralSolution:
+        """Solve the Appendix-A system by damped fixed-point iteration."""
         m = self.machine
         p = m.processors
         works0 = np.where(self.active, self.works, 0.0)
         initial = np.concatenate(
             [works0, np.full(p, m.handler_time), np.full(p, m.handler_time)]
         )
-        if x0 is not None:
-            x0 = np.asarray(x0, dtype=float).ravel()
         result = solve_fixed_point(
             self._update,
             initial,
-            x0=x0,
             damping=self.damping,
             tol=self.tol,
             max_iter=self.max_iter,
@@ -405,8 +394,6 @@ def residual_correction_vec(utilization: np.ndarray, cv2: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def solve_general_batch(
     models: Sequence[GeneralLoPCModel],
-    *,
-    x0: np.ndarray | None = None,
 ) -> list[GeneralSolution]:
     """Solve many Appendix-A models in one masked batch fixed point.
 
@@ -430,10 +417,6 @@ def solve_general_batch(
     :class:`ValueError` the scalar path raises, naming the point; a
     point whose iterates go non-finite surfaces as a
     :class:`~repro.core.solver.ConvergenceError` after the loop.
-
-    ``x0`` optionally warm-starts points from a ``(points, 3, P)``
-    residence stack; rows (whole points) with any non-finite entry keep
-    the cold contention-free start.
     """
     if len(models) == 0:
         return []
@@ -510,7 +493,6 @@ def solve_general_batch(
     result = solve_fixed_point_batch(
         update,
         initial,
-        x0=x0,
         damping=first.damping,
         tol=first.tol,
         max_iter=first.max_iter,

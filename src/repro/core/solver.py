@@ -83,7 +83,6 @@ def solve_fixed_point(
     func: Callable[[np.ndarray], np.ndarray],
     initial: Sequence[float] | np.ndarray,
     *,
-    x0: Sequence[float] | np.ndarray | None = None,
     damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 20_000,
@@ -102,12 +101,6 @@ def solve_fixed_point(
         ``initial`` and be finite on the iterates.
     initial:
         Cold-start point (e.g. the contention-free response times).
-    x0:
-        Optional warm-start state overriding ``initial`` as the first
-        iterate.  Must match ``initial``'s shape and be finite.  The
-        converged value is the same fixed point to within ``tol``; only
-        the iteration count (and the low-order bits of the result)
-        depend on the start.
     damping:
         Step fraction in (0, 1].
     tol, max_iter:
@@ -126,16 +119,6 @@ def solve_fixed_point(
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
     if x.ndim != 1:
         raise ValueError("initial must be scalar or 1-D")
-    if x0 is not None:
-        seed = np.atleast_1d(np.asarray(x0, dtype=float))
-        if seed.shape != x.shape:
-            raise ValueError(
-                f"x0 shape {seed.shape} does not match initial shape "
-                f"{x.shape}"
-            )
-        if not np.all(np.isfinite(seed)):
-            raise ValueError("x0 must be finite")
-        x = seed.copy()
 
     # Telemetry is one `is None` check when disabled; the residual
     # trajectory is only collected when an event sink is listening.
@@ -208,36 +191,10 @@ class BatchFixedPointResult:
         return int(self.value.shape[0])
 
 
-def _apply_batch_seeds(
-    x: np.ndarray, x0: np.ndarray | None
-) -> "tuple[np.ndarray | None, np.ndarray]":
-    """Overlay finite ``x0`` rows onto the cold-start stack ``x``.
-
-    Returns ``(seeded, x)`` where ``seeded`` is the per-point bool mask
-    of rows taken from ``x0`` (None when ``x0`` is None, so callers can
-    distinguish "no warm-start requested" from "all rows fell back").
-    Rows of ``x0`` containing any non-finite entry keep the cold start.
-    """
-    if x0 is None:
-        return None, x
-    seeds = np.asarray(x0, dtype=float)
-    if seeds.shape != x.shape:
-        raise ValueError(
-            f"x0 shape {seeds.shape} does not match initial shape {x.shape}"
-        )
-    point_axes = tuple(range(1, x.ndim))
-    seeded = np.all(np.isfinite(seeds), axis=point_axes)
-    if seeded.any():
-        x[seeded] = seeds[seeded]
-    return seeded, x
-
-
 def solve_fixed_point_batch(
     func: Callable[[np.ndarray, np.ndarray], np.ndarray],
     initial: Sequence[Sequence[float]] | np.ndarray,
     *,
-    x0: np.ndarray | None = None,
-    stager: "object | None" = None,
     damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 20_000,
@@ -265,34 +222,6 @@ def solve_fixed_point_batch(
     end).  When ``raise_on_failure`` is True, a :class:`ConvergenceError`
     naming the failed point indices is raised after the loop if any point
     failed to converge.
-
-    ``x0`` supplies optional per-point warm-start states: a
-    ``(points, *dims)`` array matching ``initial``'s shape in which a
-    row whose entries are all finite replaces that point's cold start,
-    while any non-finite entry (conventionally ``nan``) leaves the point
-    on ``initial`` -- so one batch call can mix seeded and cold points.
-    Seeding only moves the first iterate; each point still converges to
-    the same fixed point within ``tol``.
-
-    ``stager`` (optional) stages point activation *inside* the solve so
-    warm seeds can be interpolated from donor points as soon as those
-    donors are nearly converged, without paying one solver call per
-    refinement pass.  It must expose:
-
-    - ``initial_active``: ``(points,)`` bool mask of points that start
-      iterating immediately; the rest stay dormant (not iterated, not
-      counted) until activated.
-    - ``poll(x, residuals, active, dormant)``: called once per
-      iteration while dormant points remain; yields ``(rows, seeds)``
-      pairs of dormant row indices to activate now and their
-      ``(len(rows), *dims)`` seed states (non-finite rows start cold).
-
-    Per-point iteration counts are measured from each point's
-    activation step, so telemetry means stay comparable with unstaged
-    solves.  If every active point retires while some are still
-    dormant, the remaining dormant points are force-activated cold
-    rather than stalling the solve.  ``stager=None`` leaves the solve
-    loop bit-identical to the unstaged path.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping!r}")
@@ -307,27 +236,11 @@ def solve_fixed_point_batch(
     n_points = x.shape[0]
     # Residuals and finiteness reduce over every axis but the points one.
     point_axes = tuple(range(1, x.ndim))
-    seeded, x = _apply_batch_seeds(x, x0)
 
     iterations = np.zeros(n_points, dtype=np.int64)
     residuals = np.full(n_points, np.inf)
     converged = np.zeros(n_points, dtype=bool)
     active = np.ones(n_points, dtype=bool)
-    # Activation step per point: iteration counts are reported relative
-    # to it so staged points' telemetry matches a fresh solve's.
-    activation = np.zeros(n_points, dtype=np.int64)
-    dormant = np.zeros(n_points, dtype=bool)
-    if stager is not None:
-        initial_active = np.asarray(stager.initial_active, dtype=bool)
-        if initial_active.shape != (n_points,):
-            raise ValueError(
-                f"stager.initial_active shape {initial_active.shape} does "
-                f"not match ({n_points},)"
-            )
-        dormant = ~initial_active
-        active &= initial_active
-        if seeded is None:
-            seeded = np.zeros(n_points, dtype=bool)
 
     tel = _obs_context.active()
     trajectory: list[float] | None = (
@@ -336,14 +249,7 @@ def solve_fixed_point_batch(
 
     for iteration in range(1, max_iter + 1):
         if not active.any():
-            if not dormant.any():
-                break
-            # Every active point retired before the remaining dormant
-            # points' donors were ready: activate them cold instead of
-            # stalling the solve.
-            activation[dormant] = iteration - 1
-            active[dormant] = True
-            dormant[:] = False
+            break
         rows = np.flatnonzero(active)
         xa = x[rows]
         fx = np.asarray(func(xa, rows), dtype=float)
@@ -362,13 +268,13 @@ def solve_fixed_point_batch(
         # solver raises before applying the update).
         bad = rows[~finite]
         residuals[bad] = np.inf
-        iterations[bad] = iteration - activation[bad]
+        iterations[bad] = iteration
         active[bad] = False
 
         good = finite
         x[rows[good]] = new_x[good]
         residuals[rows[good]] = residual[good]
-        iterations[rows[good]] = iteration - activation[rows[good]]
+        iterations[rows[good]] = iteration
         done = rows[good][residual[good] <= tol]
         converged[done] = True
         active[done] = False
@@ -377,25 +283,11 @@ def solve_fixed_point_batch(
             trajectory.append(
                 float(finite_res.max()) if finite_res.size else float("inf")
             )
-        if dormant.any():
-            for wake_rows, wake_seeds in stager.poll(
-                x, residuals, active, dormant
-            ):
-                wake_rows = np.asarray(wake_rows, dtype=np.int64)
-                if not wake_rows.size:
-                    continue
-                wake_seeds = np.asarray(wake_seeds, dtype=float)
-                warm = np.all(np.isfinite(wake_seeds), axis=point_axes)
-                x[wake_rows[warm]] = wake_seeds[warm]
-                seeded[wake_rows[warm]] = True
-                activation[wake_rows] = iteration
-                dormant[wake_rows] = False
-                active[wake_rows] = True
 
     if tel is not None:
         observe_batch_solve(
             tel, "solver.fixed_point_batch", iterations, converged,
-            residuals, trajectory, seeded=seeded,
+            residuals, trajectory,
         )
     if raise_on_failure and not converged.all():
         failed = np.flatnonzero(~converged)

@@ -9,7 +9,7 @@ module is the adapter between the two:
 * :func:`fuzz_study` / :func:`fuzz_studies` lift a seeded fuzz stream
   into lockstep :class:`~repro.sweep.spec.ZipAxis` studies -- every
   fuzzed point becomes one sweep row, so a fuzz corpus replays through
-  the *production* path (cache, batching, warm starts, telemetry)
+  the *production* path (cache, batching, telemetry)
   instead of the fuzzer's private solve loop;
 * :func:`fuzz_axis` derives a seeded :class:`~repro.sweep.spec.RandomAxis`
   over one parameter's declared schema range, for randomised sweeps and

@@ -60,7 +60,6 @@ def _amva(
     arrival_factor: float,
     tol: float,
     max_iter: int,
-    x0: Sequence[float] | np.ndarray | None = None,
 ) -> AMVAResult:
     demand_arr = normalize_demands(demands)
     check_network_scalars(population, think_time)
@@ -76,18 +75,8 @@ def _amva(
         return AMVAResult(0, 0.0, demand_arr.copy(), zeros, zeros,
                           think_time, 0, True)
 
-    # Start from an even split of the population over the queueing centres,
-    # unless the caller supplied a warm-start queue vector (typically a
-    # neighbouring point's converged queues).
+    # Start from an even split of the population over the queueing centres.
     queues = np.where(is_queueing, population / max(is_queueing.sum(), 1), 0.0)
-    if x0 is not None:
-        seed = np.asarray(x0, dtype=float)
-        if seed.shape != queues.shape:
-            raise ValueError(
-                f"x0 shape {seed.shape} does not match ({n_centers},)"
-            )
-        if np.all(np.isfinite(seed)):
-            queues = seed.astype(float, copy=True)
     throughput = 0.0
     responses = demand_arr.copy()
     for iteration in range(1, max_iter + 1):
@@ -130,16 +119,9 @@ def bard_amva(
     kinds: Sequence[str] | None = None,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    x0: Sequence[float] | np.ndarray | None = None,
 ) -> AMVAResult:
-    """Bard approximate MVA: arrival queue = full steady-state queue.
-
-    ``x0`` optionally warm-starts the iteration from a ``(centres,)``
-    queue-length vector (a non-finite entry falls back to the even
-    split); the fixed point reached is the same to within ``tol``.
-    """
-    return _amva(demands, population, think_time, kinds, 1.0, tol, max_iter,
-                 x0=x0)
+    """Bard approximate MVA: arrival queue = full steady-state queue."""
+    return _amva(demands, population, think_time, kinds, 1.0, tol, max_iter)
 
 
 def schweitzer_amva(
@@ -149,12 +131,7 @@ def schweitzer_amva(
     kinds: Sequence[str] | None = None,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    x0: Sequence[float] | np.ndarray | None = None,
 ) -> AMVAResult:
-    """Schweitzer approximate MVA: arrival queue = ``(N-1)/N`` of steady state.
-
-    ``x0`` warm-starts the queue vector exactly as in :func:`bard_amva`.
-    """
+    """Schweitzer approximate MVA: arrival queue = ``(N-1)/N`` of steady state."""
     factor = (population - 1) / population if population > 0 else 0.0
-    return _amva(demands, population, think_time, kinds, factor, tol, max_iter,
-                 x0=x0)
+    return _amva(demands, population, think_time, kinds, factor, tol, max_iter)

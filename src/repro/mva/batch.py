@@ -236,34 +236,6 @@ def batch_exact_mva(
 # ---------------------------------------------------------------------------
 # Approximate MVA (Bard / Schweitzer)
 # ---------------------------------------------------------------------------
-def _overlay_seeds(
-    queues: np.ndarray,
-    x0: np.ndarray | None,
-    eligible: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Overlay finite warm-start rows of ``x0`` onto ``queues`` in place.
-
-    Returns the per-point seeded mask (None when ``x0`` is None).  A row
-    of ``x0`` with any non-finite entry keeps the kernel's cold start,
-    as does any row outside ``eligible`` (points solved in closed form
-    never consume a seed).
-    """
-    if x0 is None:
-        return None
-    seeds = np.asarray(x0, dtype=float)
-    if seeds.shape != queues.shape:
-        raise ValueError(
-            f"x0 shape {seeds.shape} does not match {queues.shape}"
-        )
-    point_axes = tuple(range(1, queues.ndim))
-    seeded = np.all(np.isfinite(seeds), axis=point_axes)
-    if eligible is not None:
-        seeded &= eligible
-    if seeded.any():
-        queues[seeded] = seeds[seeded]
-    return seeded
-
-
 def _batch_amva(
     demands: Sequence[Sequence[float]] | np.ndarray,
     populations: int | Sequence[int] | np.ndarray,
@@ -272,7 +244,6 @@ def _batch_amva(
     method: str,
     tol: float,
     max_iter: int,
-    x0: np.ndarray | None = None,
 ) -> BatchMVAResult:
     demand_arr, pops, thinks, _, is_queueing = _normalize_batch(
         demands, populations, think_times, kinds
@@ -286,14 +257,11 @@ def _batch_amva(
     else:  # pragma: no cover - internal dispatch
         raise ValueError(f"unknown AMVA method {method!r}")
 
-    # Same start as the scalar solver: even split over queueing centres,
-    # unless a warm-start row was supplied (population-0 points keep the
-    # closed-form zero solution regardless).
+    # Same start as the scalar solver: even split over queueing centres.
     n_queueing = max(int(is_queueing.sum()), 1)
     queues = np.where(
         is_queueing, pops[:, np.newaxis] / n_queueing, 0.0
     )
-    seeded = _overlay_seeds(queues, x0, eligible=pops > 0)
     responses = demand_arr.copy()
     throughput = np.zeros(n_points)
     cycle_time = thinks.copy()
@@ -340,9 +308,7 @@ def _batch_amva(
     )
     tel = _obs_context.active()
     if tel is not None:
-        observe_batch_solve(
-            tel, f"mva.batch.{method}", iterations, converged, seeded=seeded
-        )
+        observe_batch_solve(tel, f"mva.batch.{method}", iterations, converged)
     return result
 
 
@@ -353,7 +319,6 @@ def batch_bard_amva(
     kinds: Sequence[str] | None = None,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    x0: np.ndarray | None = None,
 ) -> BatchMVAResult:
     """Bard AMVA over a batch of networks: one masked fixed point.
 
@@ -361,16 +326,9 @@ def batch_bard_amva(
     :func:`repro.mva.amva.bard_amva` solve would stop, so the batch
     result matches the scalar result exactly (same elementwise updates,
     same stopping rule, defaults included).
-
-    ``x0`` optionally warm-starts points from a ``(points, centres)``
-    queue-length array; a row with any non-finite entry (conventionally
-    ``nan``) keeps the cold even-split start, so seeded and cold points
-    mix freely in one call.  Seeding changes iteration counts, not the
-    fixed point (within ``tol``).
     """
     return _batch_amva(
-        demands, populations, think_times, kinds, "bard", tol, max_iter,
-        x0=x0,
+        demands, populations, think_times, kinds, "bard", tol, max_iter
     )
 
 
@@ -381,15 +339,10 @@ def batch_schweitzer_amva(
     kinds: Sequence[str] | None = None,
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    x0: np.ndarray | None = None,
 ) -> BatchMVAResult:
-    """Schweitzer AMVA over a batch: arrival factor ``(N_p - 1)/N_p``.
-
-    ``x0`` warm-starts per point exactly as in :func:`batch_bard_amva`.
-    """
+    """Schweitzer AMVA over a batch: arrival factor ``(N_p - 1)/N_p``."""
     return _batch_amva(
-        demands, populations, think_times, kinds, "schweitzer", tol, max_iter,
-        x0=x0,
+        demands, populations, think_times, kinds, "schweitzer", tol, max_iter
     )
 
 
@@ -655,7 +608,6 @@ def batch_multiclass_amva(
     method: str = "bard",
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    x0: np.ndarray | None = None,
 ) -> BatchMultiClassMVAResult:
     """Multi-class AMVA over a batch: one masked fixed point.
 
@@ -663,11 +615,6 @@ def batch_multiclass_amva(
     :func:`repro.mva.multiclass.multiclass_amva` solve would stop, so
     the batch result matches the scalar result exactly (same elementwise
     updates, same stopping rule, defaults included).
-
-    ``x0`` optionally warm-starts points from a
-    ``(points, classes, centres)`` class-queue array (a neighbouring
-    solve's ``class_queue_lengths``); rows with any non-finite entry
-    keep the cold even-split start.
     """
     if method not in ("bard", "schweitzer"):
         raise ValueError(
@@ -682,7 +629,6 @@ def batch_multiclass_amva(
 
     n_queueing = max(int(is_queueing.sum()), 1)
     queues = np.where(is_queueing, pop_f[:, :, None] / n_queueing, 0.0)
-    seeded = _overlay_seeds(queues, x0)
     self_factor = np.where(
         active_classes, (pop_f - 1.0) / np.maximum(pop_f, 1.0), 0.0
     )
@@ -741,7 +687,6 @@ def batch_multiclass_amva(
     tel = _obs_context.active()
     if tel is not None:
         observe_batch_solve(
-            tel, f"mva.multiclass.{method}", iterations, converged,
-            seeded=seeded,
+            tel, f"mva.multiclass.{method}", iterations, converged
         )
     return result

@@ -194,7 +194,6 @@ def multiclass_amva(
     method: str = "bard",
     tol: float = 1e-12,
     max_iter: int = 100_000,
-    x0: Sequence[Sequence[float]] | np.ndarray | None = None,
 ) -> MultiClassAMVAResult:
     """Approximate MVA for a closed multi-class network.
 
@@ -211,11 +210,6 @@ def multiclass_amva(
     infinity norm, the single-class :mod:`repro.mva.amva` convention).
     Classes with ``N_c = 0`` are inert: zero throughput and queues, but
     their response times still report what a class customer *would* see.
-
-    ``x0`` optionally warm-starts the iteration from a
-    ``(classes, centres)`` class-queue matrix (a neighbouring solve's
-    ``class_queue_lengths``); any non-finite entry falls back to the
-    even split.  The fixed point reached is the same to within ``tol``.
     """
     if method not in _AMVA_METHODS:
         raise ValueError(
@@ -232,15 +226,6 @@ def multiclass_amva(
     # the class population over the queueing centres.
     n_queueing = max(int(is_queueing.sum()), 1)
     queues = np.where(is_queueing, pop_arr[:, None] / n_queueing, 0.0)
-    if x0 is not None:
-        seed = np.asarray(x0, dtype=float)
-        if seed.shape != queues.shape:
-            raise ValueError(
-                f"x0 shape {seed.shape} does not match "
-                f"({n_classes}, {n_centers})"
-            )
-        if np.all(np.isfinite(seed)):
-            queues = seed.astype(float, copy=True)
     # Schweitzer's self-term factor (N_c - 1) / N_c; inert classes have
     # zero queues so the guard value never contributes.
     self_factor = np.where(active, (pop_arr - 1.0) / np.maximum(pop_arr, 1.0),

@@ -93,7 +93,6 @@ def observe_batch_solve(
     converged: np.ndarray,
     residuals: np.ndarray | None = None,
     trajectory: "list[float] | None" = None,
-    seeded: np.ndarray | None = None,
     **extra: object,
 ) -> None:
     """Fold one batch kernel's per-point diagnostics into a bundle.
@@ -102,21 +101,12 @@ def observe_batch_solve(
     arrays; the registry sees per-point iteration statistics (via
     ``observe_many``) and converged/failed counts, the event log one
     summary event -- never one record per point.
-
-    ``seeded`` is the warm-start mask for solves given per-point initial
-    states: True rows started from a caller-provided seed, False rows
-    from the kernel's cold start.  When present, the iteration stats are
-    additionally split into ``{name}.warm_iterations`` /
-    ``{name}.cold_iterations`` summaries and the event carries the
-    seeded/cold point counts, so warm-start effectiveness is measurable
-    from `stats` output alone.
     """
     n_points = int(np.asarray(converged).size)
     if n_points == 0:
         return
     iter_arr = np.asarray(iterations)
     n_converged = int(np.asarray(converged).sum())
-    seed_arr = None if seeded is None else np.asarray(seeded, dtype=bool)
     metrics = tel.metrics
     if metrics is not None:
         metrics.inc(f"{name}.solves")
@@ -125,26 +115,12 @@ def observe_batch_solve(
         if n_points - n_converged:
             metrics.inc(f"{name}.failed", n_points - n_converged)
         metrics.observe_many(f"{name}.iterations", iter_arr)
-        if seed_arr is not None:
-            warm = iter_arr[seed_arr]
-            cold = iter_arr[~seed_arr]
-            if warm.size:
-                metrics.observe_many(f"{name}.warm_iterations", warm)
-            if cold.size:
-                metrics.observe_many(f"{name}.cold_iterations", cold)
         if residuals is not None:
             res = np.asarray(residuals)
             finite = res[np.isfinite(res)]
             if finite.size:
                 metrics.observe_many(f"{name}.residual", finite)
     if tel.events is not None:
-        if seed_arr is not None:
-            n_seeded = int(seed_arr.sum())
-            extra = {
-                "seeded": n_seeded,
-                "cold": n_points - n_seeded,
-                **extra,
-            }
         tel.events.emit(
             name,
             points=n_points,

@@ -7,10 +7,7 @@ solved values out*, with every uncached candidate list dispatched as a
 single vectorized batch solve (the same ``Backend.batch`` kernels the
 sweep runner rides).  It also owns the three accounting facts the
 optimizer reports -- solver dispatches, solved points, and the memo that
-makes re-offered candidates free -- and, when ``warm_start=True``, seeds
-each new candidate's solve from the converged state of its nearest
-already-solved neighbour via the backend's ``warm`` companion (PR-7's
-``x0`` threading).
+makes re-offered candidates free.
 
 Points the solver rejects (saturated networks raise ``ValueError``)
 evaluate to ``None``; the optimizer treats them as infeasible rather
@@ -19,7 +16,6 @@ than aborting the search.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 from repro.opt.space import AxisSpec
@@ -46,9 +42,6 @@ class BatchObjective:
         The :class:`~repro.opt.space.AxisSpec` search axes.  Every axis
         must name a schema parameter the backend consumes; every
         *required* parameter outside the axes must already be bound.
-    warm_start:
-        Seed each solve from the nearest evaluated neighbour's
-        converged state, when the backend has a ``warm`` companion.
     """
 
     def __init__(
@@ -56,8 +49,6 @@ class BatchObjective:
         scenario: object,
         role: str,
         axes: Sequence[AxisSpec],
-        *,
-        warm_start: bool = False,
     ) -> None:
         from repro.api.scenario import Param, Scenario
 
@@ -110,11 +101,9 @@ class BatchObjective:
                 f"parameter(s): {', '.join(missing)}"
             )
         self.base = base
-        self.warm_start = bool(warm_start) and self.backend.warm is not None
 
         #: axis-value key -> solved values dict (None = rejected point).
         self._memo: dict[tuple, dict[str, float] | None] = {}
-        self._states: dict[tuple, object] = {}
         self.solves = 0
         self.points = 0
 
@@ -133,21 +122,6 @@ class BatchObjective:
     def _split(raw: Mapping[str, object]) -> dict[str, float]:
         return {k: v for k, v in raw.items() if not str(k).startswith("_")}
 
-    def _nearest_state(self, key: tuple) -> object | None:
-        if not self._states:
-            return None
-        spans = [max(abs(ax.span()), 1e-12) for ax in self.axes]
-
-        def dist(other: tuple) -> float:
-            total = 0.0
-            for ax, span, a, b in zip(self.axes, spans, key, other):
-                ta = math.log(a) if ax.log and a > 0 else float(a)
-                tb = math.log(b) if ax.log and b > 0 else float(b)
-                total += ((ta - tb) / span) ** 2
-            return total
-
-        return self._states[min(self._states, key=dist)]
-
     # -- solving ---------------------------------------------------------
 
     def _dispatch(
@@ -155,21 +129,7 @@ class BatchObjective:
     ) -> None:
         """Solve ``params_list`` (one batch call when possible) into the
         memo; rejected points memoize as None."""
-        if self.warm_start:
-            seeds = [self._nearest_state(key) for key in keys]
-            try:
-                values_list, states_list = self.backend.warm(params_list, seeds)
-            except _REJECTIONS:
-                pass  # fall through to the scalar rescue loop
-            else:
-                self.solves += 1
-                self.points += len(params_list)
-                for key, raw, state in zip(keys, values_list, states_list):
-                    self._memo[key] = self._split(raw)
-                    if state is not None:
-                        self._states[key] = state
-                return
-        elif self.backend.batch is not None and len(params_list) > 1:
+        if self.backend.batch is not None and len(params_list) > 1:
             try:
                 raws = self.backend.batch(params_list)
             except _REJECTIONS:

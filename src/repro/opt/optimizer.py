@@ -98,7 +98,6 @@ def run_optimize(
     over: Mapping[str, object] | None = None,
     subject_to: object = None,
     role: str = "analytic",
-    warm_start: bool = False,
     width: int = 4,
     xtol: float | None = None,
     max_solves: int = 48,
@@ -129,7 +128,7 @@ def run_optimize(
         raise ValueError("over= is required: a mapping {param: (lo, hi)}")
     axes = build_axes(cls, role, over)
     constraints = parse_constraints(subject_to)
-    obj = BatchObjective(scenario, role, axes, warm_start=warm_start)
+    obj = BatchObjective(scenario, role, axes)
     hints = dict(getattr(obj.backend, "hints", {}) or {})
     tel = obs.active()
     sign = -1.0 if mode == "maximize" else 1.0
@@ -195,7 +194,6 @@ def run_optimize(
             steps=steps,
             converged=converged,
             meta={
-                "warm_start": obj.warm_start,
                 "axes": {
                     ax.name: {"integer": ax.integer, "log": ax.log}
                     for ax in axes

@@ -1,7 +1,7 @@
 """``repro.serve``: a long-lived, concurrency-safe sweep/query service.
 
 The production face of the reproduction: one persistent process that
-answers analytic scenario queries from warm batch kernels, schedules
+answers analytic scenario queries from in-process batch kernels, schedules
 simulation sweeps on a worker pool, and shares one content-addressed
 cache store across any number of concurrent clients.  Start it with
 ``lopc-repro serve`` (or :func:`make_server` in-process), talk to it

@@ -91,13 +91,11 @@ class Client:
             body["evaluator"] = evaluator
         return Solution.from_dict(self._post("/v1/point", body))
 
-    def submit(self, spec, *, warm_start: bool = False) -> str:
+    def submit(self, spec) -> str:
         """Submit a sweep (SweepSpec or its JSON dict); returns job id."""
         payload = spec.to_json_dict() if hasattr(spec, "to_json_dict") \
             else dict(spec)
-        status = self._post(
-            "/v1/sweep", {"spec": payload, "warm_start": warm_start}
-        )
+        status = self._post("/v1/sweep", {"spec": payload})
         return str(status["job"])
 
     def jobs(self) -> "list[dict]":

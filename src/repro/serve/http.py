@@ -10,8 +10,7 @@ Routes (all bodies and responses are JSON)::
     GET  /v1/health            liveness + protocol version
     POST /v1/point             {"scenario", "backend"?, "params"?} or
                                {"evaluator", "params"} -> Solution
-    POST /v1/sweep             {"spec": <SweepSpec JSON>,
-                                "warm_start"?} -> job status
+    POST /v1/sweep             {"spec": <SweepSpec JSON>} -> job status
     GET  /v1/jobs              all job statuses
     GET  /v1/jobs/<id>?since=N status + event records [since:]
     GET  /v1/jobs/<id>/result  SweepResult (409 until done)
@@ -173,9 +172,7 @@ class _Handler(BaseHTTPRequestHandler):
         from repro.sweep.spec import SweepSpec
 
         spec = SweepSpec.from_json_dict(body["spec"])
-        job = service.submit_sweep(
-            spec, warm_start=bool(body.get("warm_start", False))
-        )
+        job = service.submit_sweep(spec)
         self._reply(200, job.status())
 
     def _jobs(self, service: SweepService) -> None:

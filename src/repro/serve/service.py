@@ -22,7 +22,7 @@ Request flow for a point query (:meth:`SweepService.point`):
    flight, so followers and later arrivals always see it.
 
 Sweep jobs (:meth:`SweepService.submit_sweep`) are routed by the same
-rule: batch-capable evaluators run inline at submit time (one warm
+rule: batch-capable evaluators run inline at submit time (one
 vectorized solve, job is done when submit returns), sim evaluators go
 to the persistent worker pool as an async :class:`Job` whose progress
 streams out of an in-memory :class:`~repro.obs.EventLog` (the runner's
@@ -91,8 +91,12 @@ class _Batcher:
     wakes, sleeps one ``window``, then drains *everything* pending --
     so requests that co-arrive within the window share a single
     ``evaluate_batch`` call per evaluator.  The window only ever delays
-    cache *misses* of batch-capable evaluators; warm hits never come
+    cache *misses* of batch-capable evaluators; cache hits never come
     here.
+
+    A failed shared solve is never reported to the whole batch: the
+    group's flights are re-solved one by one, so each request gets
+    exactly the value or error a lone ``evaluate_batch`` call gives.
     """
 
     def __init__(self, service: "SweepService", window: float) -> None:
@@ -143,30 +147,35 @@ class _Batcher:
             metrics.inc("serve.batch.solves")
             if len(flights) > 1:
                 metrics.inc("serve.batch.merged", len(flights) - 1)
-            try:
-                records = evaluate_batch(
-                    evaluator, [f.params for f in flights]
-                )
-            except BaseException as exc:  # propagate to every waiter
+            self._solve_group(evaluator, flights)
+
+    def _solve_group(self, evaluator: str, flights: "list[_Flight]") -> None:
+        try:
+            records = evaluate_batch(evaluator, [f.params for f in flights])
+        except BaseException as exc:
+            if len(flights) > 1 and isinstance(exc, Exception):
+                # One bad point fails the whole vectorized solve; isolate
+                # it so its error cannot bleed onto co-batched requests.
+                for flight in flights:
+                    self._solve_group(evaluator, [flight])
+            else:  # propagate to every waiter
                 for flight in flights:
                     self.service._finish(flight, error=exc)
-                continue
-            for flight, record in zip(flights, records):
-                self.service._finish(flight, record=record)
+            return
+        for flight, record in zip(flights, records):
+            self.service._finish(flight, record=record)
 
 
 class Job:
     """One submitted sweep: state machine + progress + result."""
 
-    __slots__ = ("id", "spec", "warm_start", "route", "state", "error",
+    __slots__ = ("id", "spec", "route", "state", "error",
                  "result", "submitted", "started", "finished", "events",
                  "_done", "_total", "_lock")
 
-    def __init__(self, job_id: str, spec: SweepSpec, *, warm_start: bool,
-                 route: str) -> None:
+    def __init__(self, job_id: str, spec: SweepSpec, *, route: str) -> None:
         self.id = job_id
         self.spec = spec
-        self.warm_start = warm_start
         self.route = route  # "inline" | "pool"
         self.state = "queued"  # queued -> running -> done | error
         self.error: str | None = None
@@ -211,6 +220,8 @@ class Job:
 
     def events_since(self, since: int = 0) -> "tuple[list[dict], int]":
         """Event records from sequence ``since`` on, plus the next seq."""
+        if since < 0:
+            raise ValueError(f"since must be >= 0, got {since}")
         records = self.events.records
         return records[since:], len(records)
 
@@ -392,12 +403,11 @@ class SweepService:
         )
 
     # -- sweep jobs ----------------------------------------------------
-    def submit_sweep(self, spec: SweepSpec, *,
-                     warm_start: bool = False) -> Job:
+    def submit_sweep(self, spec: SweepSpec) -> Job:
         """Schedule one sweep; returns its :class:`Job` immediately.
 
         Batch-capable evaluators run *inline* (the job is already done
-        when this returns -- one warm vectorized solve); sim evaluators
+        when this returns -- one vectorized solve); sim evaluators
         run asynchronously on the worker pool.
         """
         get_evaluator(spec.evaluator)
@@ -407,8 +417,7 @@ class SweepService:
         )
         with self._jobs_lock:
             self._job_seq += 1
-            job = Job(f"job-{self._job_seq:04d}", spec,
-                      warm_start=warm_start, route=route)
+            job = Job(f"job-{self._job_seq:04d}", spec, route=route)
             self._jobs[job.id] = job
         self.metrics.inc(f"serve.jobs.route.{route}")
         if route == "inline":
@@ -433,7 +442,7 @@ class SweepService:
             self.metrics.gauge("serve.jobs.queue_depth", depth)
 
     def _run_job(self, job: Job) -> None:
-        # Live event/progress streaming forces the runner off the staged
+        # Live event/progress streaming forces the runner off the
         # single-call batch path into chunked dispatch; inline jobs are
         # done before any client could poll them, so only pool jobs --
         # the ones genuinely worth watching -- pay for it.
@@ -445,7 +454,6 @@ class SweepService:
                 result = run_sweep(
                     job.spec,
                     cache=self.cache,
-                    warm_start=job.warm_start,
                     events=job.events if live else None,
                     progress=job._progress if live else None,
                 )

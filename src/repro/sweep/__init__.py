@@ -57,16 +57,12 @@ from repro.sweep.cache import (
 )
 from repro.sweep.evaluators import (
     evaluate_batch,
-    evaluate_batch_warm,
     evaluate_point,
     get_batch_evaluator,
     get_evaluator,
-    get_warm_evaluator,
     list_evaluators,
     register_batch_evaluator,
     register_evaluator,
-    register_warm_evaluator,
-    warm_supports_staging,
 )
 from repro.sweep.executors import ParallelExecutor, SerialExecutor, get_executor
 from repro.sweep.results import PointRecord, SweepResult
@@ -99,17 +95,13 @@ __all__ = [
     "coerce_cache",
     "derive_point_seed",
     "evaluate_batch",
-    "evaluate_batch_warm",
     "evaluate_point",
     "get_batch_evaluator",
     "get_evaluator",
     "get_executor",
-    "get_warm_evaluator",
     "list_evaluators",
     "point_key",
     "register_batch_evaluator",
     "register_evaluator",
-    "register_warm_evaluator",
     "run_sweep",
-    "warm_supports_staging",
 ]

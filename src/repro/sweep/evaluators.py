@@ -42,41 +42,52 @@ scalar solves or process-pool round-trips -- and the values are
 bit-identical to the scalar evaluator's, so cache records from either
 path are interchangeable.  Simulation evaluators register no batch
 function and keep the pool.
+
+Every registered name maps to one :class:`_Entry` in ``_REGISTRY``
+holding its scalar ``func``, optional ``batch`` companion and declared
+``defaults``.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "evaluate_batch",
-    "evaluate_batch_warm",
     "evaluate_point",
     "evaluator_defaults",
     "get_batch_evaluator",
     "get_evaluator",
-    "get_warm_evaluator",
     "list_evaluators",
     "machine_from_params",
     "register_batch_evaluator",
     "register_evaluator",
-    "register_warm_evaluator",
-    "warm_supports_staging",
 ]
 
 Evaluator = Callable[[Mapping[str, object]], dict[str, object]]
 BatchEvaluator = Callable[[Sequence[Mapping[str, object]]], "list[dict[str, object]]"]
-WarmBatchEvaluator = Callable[
-    [Sequence[Mapping[str, object]], Sequence[object]],
-    "tuple[list[dict[str, object]], list[object]]",
-]
 
-_EVALUATORS: dict[str, Evaluator] = {}
-_BATCH_EVALUATORS: dict[str, BatchEvaluator] = {}
-_WARM_EVALUATORS: dict[str, WarmBatchEvaluator] = {}
-_STAGED_WARM: set[str] = set()
-_DEFAULTS: dict[str, dict[str, object]] = {}
+
+@dataclass
+class _Entry:
+    """One registered evaluator: scalar function, batch companion, defaults."""
+
+    func: Evaluator
+    batch: BatchEvaluator | None = None
+    defaults: dict[str, object] = field(default_factory=dict)
+
+
+_REGISTRY: dict[str, _Entry] = {}
+
+
+def _entry(name: str) -> _Entry:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        known = ", ".join(sorted(_REGISTRY)) or "(none)"
+        raise KeyError(f"unknown evaluator {name!r}; known: {known}") from None
 
 
 def register_evaluator(
@@ -97,16 +108,14 @@ def register_evaluator(
     """
 
     def deco(func: Evaluator) -> Evaluator:
-        existing = _EVALUATORS.get(name)
+        existing = _REGISTRY.get(name)
         if existing is not None:
             raise ValueError(
                 f"evaluator {name!r} already registered by module "
-                f"{existing.__module__} ({existing.__qualname__}); "
+                f"{existing.func.__module__} ({existing.func.__qualname__}); "
                 "pick a different name"
             )
-        _EVALUATORS[name] = func
-        if defaults:
-            _DEFAULTS[name] = dict(defaults)
+        _REGISTRY[name] = _Entry(func, defaults=dict(defaults or {}))
         return func
 
     return deco
@@ -126,15 +135,15 @@ def register_batch_evaluator(
     """
 
     def deco(func: BatchEvaluator) -> BatchEvaluator:
-        get_evaluator(name)  # batch capability extends a scalar evaluator
-        existing = _BATCH_EVALUATORS.get(name)
+        entry = _entry(name)  # batch capability extends a scalar evaluator
+        existing = entry.batch
         if existing is not None:
             raise ValueError(
                 f"batch evaluator {name!r} already registered by module "
                 f"{existing.__module__} ({existing.__qualname__}); "
                 "pick a different name"
             )
-        _BATCH_EVALUATORS[name] = func
+        entry.batch = func
         return func
 
     return deco
@@ -142,84 +151,21 @@ def register_batch_evaluator(
 
 def get_batch_evaluator(name: str) -> BatchEvaluator | None:
     """The batch companion of evaluator ``name``, or None."""
-    get_evaluator(name)  # consistent unknown-name behaviour
-    return _BATCH_EVALUATORS.get(name)
-
-
-def register_warm_evaluator(
-    name: str, staged: bool = False
-) -> Callable[[WarmBatchEvaluator], WarmBatchEvaluator]:
-    """Decorator advertising warm-start capability for a batch evaluator.
-
-    The decorated function receives ``(params_list, seeds)`` -- one
-    initial-state array or ``None`` per point -- and returns
-    ``(raw_values_list, states_list)``: the same value dicts the plain
-    batch companion produces plus each point's converged solver state
-    (an ndarray, or ``None`` where the point has no iterative state).
-    A warm solve must converge to the same fixed point as a cold one
-    (within solver tolerance), and an all-``None`` seed list must be
-    *bit-identical* to the plain batch path -- the runner caches warm
-    and cold records interchangeably under unchanged keys.
-
-    ``staged=True`` additionally advertises that the function accepts a
-    ``stager`` keyword and forwards it to
-    :func:`repro.core.solver.solve_fixed_point_batch`, letting the
-    runner stage all refinement passes inside one solver call instead
-    of dispatching pass by pass (see
-    :func:`~repro.sweep.evaluators.warm_supports_staging`).
-    """
-
-    def deco(func: WarmBatchEvaluator) -> WarmBatchEvaluator:
-        if _BATCH_EVALUATORS.get(name) is None:
-            get_evaluator(name)  # consistent unknown-name behaviour
-            raise ValueError(
-                f"evaluator {name!r} has no batch companion; warm-start "
-                "capability extends the batch path"
-            )
-        existing = _WARM_EVALUATORS.get(name)
-        if existing is not None:
-            raise ValueError(
-                f"warm evaluator {name!r} already registered by module "
-                f"{existing.__module__} ({existing.__qualname__}); "
-                "pick a different name"
-            )
-        _WARM_EVALUATORS[name] = func
-        if staged:
-            _STAGED_WARM.add(name)
-        return func
-
-    return deco
-
-
-def get_warm_evaluator(name: str) -> WarmBatchEvaluator | None:
-    """The warm-start companion of evaluator ``name``, or None."""
-    get_evaluator(name)  # consistent unknown-name behaviour
-    return _WARM_EVALUATORS.get(name)
-
-
-def warm_supports_staging(name: str) -> bool:
-    """Whether ``name``'s warm companion accepts a ``stager`` keyword."""
-    get_evaluator(name)  # consistent unknown-name behaviour
-    return name in _STAGED_WARM
+    return _entry(name).batch
 
 
 def evaluator_defaults(name: str) -> dict[str, object]:
     """Declared result-affecting defaults of a registered evaluator."""
-    get_evaluator(name)
-    return dict(_DEFAULTS.get(name, {}))
+    return dict(_entry(name).defaults)
 
 
 def get_evaluator(name: str) -> Evaluator:
-    try:
-        return _EVALUATORS[name]
-    except KeyError:
-        known = ", ".join(sorted(_EVALUATORS)) or "(none)"
-        raise KeyError(f"unknown evaluator {name!r}; known: {known}") from None
+    return _entry(name).func
 
 
 def list_evaluators() -> list[str]:
     """Registered evaluator names, sorted so docs and CLI help are stable."""
-    return sorted(_EVALUATORS)
+    return sorted(_REGISTRY)
 
 
 def evaluate_point(task: tuple[str, dict]) -> dict[str, object]:
@@ -260,7 +206,8 @@ def evaluate_batch(
     vectorized call (the quantity sweeps aggregate), and
     ``meta["batched"]`` marks the provenance.
     """
-    func = _BATCH_EVALUATORS.get(name)
+    entry = _REGISTRY.get(name)
+    func = entry.batch if entry is not None else None
     if func is None:
         raise KeyError(f"evaluator {name!r} has no batch companion")
     if not params_list:
@@ -275,57 +222,6 @@ def evaluate_batch(
         )
     share = wall / len(params_list)
     return [_split_record(raw, share, batched=True) for raw in raw_values]
-
-
-def evaluate_batch_warm(
-    name: str,
-    params_list: Sequence[Mapping[str, object]],
-    seeds: Sequence[object],
-    stager: object | None = None,
-) -> tuple[list[dict[str, object]], list[object]]:
-    """Evaluate many points through a warm-start batch companion.
-
-    ``seeds`` holds one initial-state array (or ``None`` for a cold
-    start) per point.  Returns ``(records, states)``: records shaped
-    exactly like :func:`evaluate_batch`'s, plus each point's converged
-    solver state for seeding later chunks.  Values converge to the same
-    fixed point as the cold batch path (bit-identical when every seed
-    is ``None``), so the runner caches them under the same keys.
-
-    ``stager`` (optional; only for evaluators registered with
-    ``staged=True``) is forwarded to the underlying batched solve so
-    point activation is staged inside one call -- ``seeds`` then
-    typically stays all-``None`` and the stager synthesises seeds
-    mid-solve.
-    """
-    func = _WARM_EVALUATORS.get(name)
-    if func is None:
-        raise KeyError(f"evaluator {name!r} has no warm-start companion")
-    if stager is not None and name not in _STAGED_WARM:
-        raise ValueError(
-            f"warm evaluator {name!r} does not support staged activation"
-        )
-    if not params_list:
-        return [], []
-    if len(seeds) != len(params_list):
-        raise ValueError(
-            f"warm evaluator {name!r} got {len(seeds)} seeds for "
-            f"{len(params_list)} points"
-        )
-    start = time.perf_counter()
-    if stager is not None:
-        raw_values, states = func(params_list, seeds, stager=stager)
-    else:
-        raw_values, states = func(params_list, seeds)
-    wall = time.perf_counter() - start
-    if len(raw_values) != len(params_list) or len(states) != len(params_list):
-        raise ValueError(
-            f"warm evaluator {name!r} returned {len(raw_values)} records / "
-            f"{len(states)} states for {len(params_list)} points"
-        )
-    share = wall / len(params_list)
-    records = [_split_record(raw, share, batched=True) for raw in raw_values]
-    return records, states
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +243,4 @@ for _scenario_cls in _SCENARIO_CLASSES:
         )(_backend.func)
         if _backend.batch is not None:
             register_batch_evaluator(_backend.evaluator)(_backend.batch)
-        if _backend.warm is not None:
-            register_warm_evaluator(
-                _backend.evaluator, staged=_backend.staged
-            )(_backend.warm)
 del _scenario_cls, _backend

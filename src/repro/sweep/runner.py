@@ -40,8 +40,6 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from repro.obs import EventLog, MetricsRegistry, Telemetry, as_progress
 from repro.obs import context as _obs_context
 from repro.sweep.cache import (
@@ -53,12 +51,9 @@ from repro.sweep.cache import (
 )
 from repro.sweep.evaluators import (
     evaluate_batch,
-    evaluate_batch_warm,
     evaluator_defaults,
     get_batch_evaluator,
     get_evaluator,
-    get_warm_evaluator,
-    warm_supports_staging,
 )
 from repro.sweep.executors import ParallelExecutor, SerialExecutor, get_executor
 from repro.sweep.results import PointRecord, SweepResult
@@ -73,469 +68,6 @@ _PROGRESS_CHUNKS = 20
 
 #: Keys of the routing split, in reporting order.
 _ROUTES = ("cached", "batch", "scalar", "sim")
-
-#: Strides of the coarse-to-fine refinement passes along the primary
-#: axis: every 16th point of a column solves cold in the first pass,
-#: then each pass halves the spacing, seeded from the states solved so
-#: far.  Refinement exists for *wall clock*, not just iteration counts:
-#: a handful of wide dispatches keeps the batch kernels' vectorization
-#: economics (many narrow sequential chunks lose the iteration savings
-#: back to per-dispatch numpy overhead), and interior points are
-#: bracketed by donors, so the polynomial interpolates instead of
-#: extrapolating.
-_WARM_STRIDES = (16, 8, 4, 2, 1)
-
-#: Donor states per seed: the interpolation runs through at most this
-#: many solved states nearest along the primary axis.  The damped fixed
-#: points converge *linearly* (a constant number of iterations per
-#: decade of seed error), so seed quality -- not proximity -- is what
-#: buys iterations: copying the neighbouring point's state lands ~1e-2
-#: off and saves almost nothing, while a high-degree polynomial through
-#: a dozen bracketing states lands orders of magnitude closer (the
-#: final refinement pass converges in ~6 iterations vs ~52 cold on the
-#: benchmark grid; widening the window past 12 measured flat).
-_WARM_WINDOW = 12
-
-#: Reject a synthesised seed that strays more than this relative
-#: distance from the nearest donor state (a discontinuity, e.g. a
-#: saturation knee, makes polynomial interpolation overshoot); the
-#: point falls back to copying that donor.
-_WARM_GUARD = 0.5
-
-#: A donor is *ready* to seed dependents inside a staged solve once its
-#: relative step residual drops to this (or it retires).  Above solver
-#: tolerances -- a seed only moves a point's first iterate, so waiting
-#: for full convergence would serialise the refinement passes -- but
-#: tight enough that donor error stays below the interpolation error:
-#: a looser threshold (1e-6) measurably inflates seeded points'
-#: iteration counts, because every lost decade of donor accuracy costs
-#: the dependents ~1/log10(damping) extra iterations.
-_WARM_READY = 1e-9
-
-
-def _refinement_level(position: int) -> int:
-    """Refinement pass of the ``position``-th point along its column."""
-    for level, stride in enumerate(_WARM_STRIDES):
-        if position % stride == 0:
-            return level
-    return len(_WARM_STRIDES) - 1  # unreachable: the last stride is 1
-
-
-def _lagrange_seeds(xs: np.ndarray, states: np.ndarray,
-                    targets: np.ndarray) -> np.ndarray:
-    """Guarded polynomial seeds for many columns sharing donor abscissae.
-
-    ``xs`` is the ``(d,)`` donor positions along the primary axis,
-    ``states`` the ``(columns, d, dim)`` converged donor states, and
-    ``targets`` the ``(t,)`` positions to seed; returns
-    ``(columns, t, dim)`` seeds.  For every target: pick the
-    :data:`_WARM_WINDOW` donors nearest along the primary axis,
-    evaluate the Lagrange interpolating polynomial through them, and
-    keep the result only where it is finite, non-negative, and within
-    :data:`_WARM_GUARD` relative distance of the nearest donor state --
-    otherwise copy that donor.  The window selection and basis weights
-    depend only on ``(xs, targets)``, so one evaluation seeds every
-    column of a regular grid at once; that batching is what makes
-    synthesising a thousand seeds cheaper than the solver iterations
-    they save.
-    """
-    xs, first = np.unique(xs, return_index=True)  # drop duplicate abscissae
-    states = states[:, first, :]
-    distance = np.abs(xs[np.newaxis, :] - targets[:, np.newaxis])  # (t, d)
-    nearest = states[:, np.argmin(distance, axis=1), :]  # (columns, t, dim)
-    k = min(_WARM_WINDOW, len(xs))
-    if k < 2:
-        return nearest.copy()
-    window = np.argpartition(distance, k - 1, axis=1)[:, :k]  # (t, k)
-    nodes = xs[window]
-    diff = targets[:, np.newaxis] - nodes
-    pairwise = nodes[:, :, np.newaxis] - nodes[:, np.newaxis, :]
-    pairwise[:, np.arange(k), np.arange(k)] = 1.0
-    # Lagrange basis: prod_{j != i}(x - x_j) / prod_{j != i}(x_i - x_j).
-    # A target coinciding with a node makes this 0/0 -> NaN, which the
-    # finiteness guard routes to the nearest-donor copy -- the exact
-    # value of that node.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = (
-            diff.prod(axis=1, keepdims=True) / diff
-        ) / pairwise.prod(axis=2)
-        seeds = np.einsum("tk,ctkd->ctd", weights, states[:, window, :])
-    deviation = np.max(
-        np.abs(seeds - nearest) / np.maximum(1.0, np.abs(nearest)),
-        axis=2,
-    )
-    keep = (
-        np.isfinite(seeds).all(axis=2)
-        & (seeds >= 0.0).all(axis=2)
-        & (deviation <= _WARM_GUARD)
-    )
-    return np.where(keep[:, :, np.newaxis], seeds, nearest)
-
-
-def _column_seeds(donors: "list[tuple[float, np.ndarray]]",
-                  targets: np.ndarray) -> "list[np.ndarray]":
-    """Seeds for one column's ``targets`` (see :func:`_lagrange_seeds`)."""
-    shape = donors[0][1].shape
-    xs = np.array([x for x, _ in donors])
-    states = np.stack([state for _, state in donors])
-    seeds = _lagrange_seeds(
-        xs, states.reshape(1, len(donors), -1), targets
-    )[0]
-    return [row.reshape(shape).copy() for row in seeds]
-
-
-def _sig_value(value):
-    """A hashable stand-in for a parameter value in a signature tuple."""
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    return repr(value)
-
-
-class _WarmScheduler:
-    """Orders cache misses and synthesises per-point solver seeds.
-
-    Misses are grouped by *categorical signature* -- every varying
-    parameter that is not numeric, plus any keyset difference -- and
-    points sharing every coordinate but the first ordered numeric
-    parameter (the *primary* axis, spec-axis order first) form a column
-    along it.  Each column is scheduled coarse-to-fine
-    (:data:`_WARM_STRIDES`): the sparse first pass solves cold, later
-    passes are seeded by guarded polynomial interpolation
-    (:func:`_lagrange_seeds`) through the nearest already-converged states
-    of the same column, which by construction *bracket* them.  The
-    passes are the chunk boundaries (:attr:`boundaries`), so each
-    dispatch stays wide enough for the batch kernels to vectorize over.
-    Columns with a single usable donor copy it; columns with none copy
-    the nearest solved point of the same signature in span-normalized
-    parameter space; points with no usable donor start cold (seed
-    ``None``).  Seeding never crosses signatures, so a method or
-    structure change along a sweep is a natural cold-start boundary.
-    """
-
-    def __init__(self, spec: SweepSpec,
-                 misses: "list[tuple[int, str, dict]]") -> None:
-        params_list = [params for _, _, params in misses]
-        first_keys = params_list[0].keys()
-        uniform = all(p.keys() == first_keys for p in params_list)
-        if uniform:
-            keysets = [frozenset(first_keys)] * len(params_list)
-        else:
-            keysets = [frozenset(p) for p in params_list]
-        common = frozenset.intersection(*keysets)
-        numeric_names = set()
-        numeric_values: dict[str, np.ndarray] = {}
-        varying = []  # common non-numeric keys whose values differ
-        for name in common:
-            values = [p[name] for p in params_list]
-            try:
-                arr = np.asarray(values)
-            except ValueError:  # ragged sequence values
-                arr = None
-            if (arr is not None and arr.ndim == 1
-                    and arr.dtype.kind in "iuf"):  # bools ('b') fall out
-                if np.unique(arr).size >= 2:
-                    numeric_names.add(name)
-                    numeric_values[name] = arr.astype(float)
-                continue
-            first = _sig_value(values[0])
-            if any(_sig_value(v) != first for v in values[1:]):
-                varying.append(name)
-        varying.sort()
-        axis_order = [
-            name
-            for axis in spec.axes
-            for name in axis.names
-            if name in numeric_names
-        ]
-        self.numeric = axis_order + sorted(numeric_names - set(axis_order))
-        coords: "list[tuple]"
-        if self.numeric:
-            coords = [
-                tuple(row)
-                for row in np.column_stack(
-                    [numeric_values[name] for name in self.numeric]
-                ).tolist()
-            ]
-        else:
-            coords = [()] * len(misses)
-        # The signature is a cheap per-point tuple (constant params are
-        # dropped; a repr over every item measurably dragged on dense
-        # grids): a keyset id, the varying categorical values, and --
-        # only for points whose keyset differs from the intersection --
-        # the sorted extra items.
-        if uniform and not varying:
-            entries = [
-                ((0,), coord, miss) for coord, miss in zip(coords, misses)
-            ]
-        else:
-            keyset_ids: dict[frozenset, int] = {}
-            entries = []
-            for i, miss in enumerate(misses):
-                params = miss[2]
-                kid = keyset_ids.setdefault(keysets[i], len(keyset_ids))
-                signature = (kid,) + tuple(
-                    _sig_value(params[name]) for name in varying
-                )
-                if keysets[i] != common:
-                    signature += tuple(sorted(
-                        (key, _sig_value(params[key]))
-                        for key in keysets[i] - common
-                    ))
-                entries.append((signature, coords[i], miss))
-        if self.numeric:
-            columns: dict[tuple, list] = {}
-            for entry in entries:
-                signature, coord, _ = entry
-                columns.setdefault((signature,) + coord[1:], []).append(entry)
-            leveled = []
-            for column in columns.values():
-                column.sort(key=lambda entry: entry[1][0])
-                for position, entry in enumerate(column):
-                    leveled.append((_refinement_level(position),) + entry)
-            # repr() the signature for the sort only: tuples of unlike
-            # lengths/types (keyset extras) do not compare directly.
-            leveled.sort(key=lambda item: (item[0], repr(item[1]), item[2]))
-            self.entries = [item[1:] for item in leveled]
-            #: Refinement level per entry of :attr:`order` (staging input).
-            self.levels = [item[0] for item in leveled]
-            lo = 0
-            #: Chunk ranges over :attr:`order`, one per refinement pass.
-            self.boundaries: list[tuple[int, int]] = []
-            for level in range(len(_WARM_STRIDES)):
-                hi = lo + sum(1 for item in leveled if item[0] == level)
-                if hi > lo:
-                    self.boundaries.append((lo, hi))
-                lo = hi
-            coords = np.array([coord for _, coord, _ in self.entries])
-            spans = coords.max(axis=0) - coords.min(axis=0)
-            self._spans = np.where(spans > 0.0, spans, 1.0)
-        else:
-            entries.sort(key=lambda entry: (repr(entry[0]), entry[1]))
-            self.entries = entries
-            self.boundaries = [(0, len(entries))] if entries else []
-            self.levels = [0] * len(entries)
-            self._spans = None
-        #: The misses in evaluation order (seeding works front to back).
-        self.order = [miss for _, _, miss in self.entries]
-        self._columns: dict[tuple, list[tuple[float, np.ndarray]]] = {}
-        self._solved: dict[tuple, list[tuple[tuple, np.ndarray]]] = {}
-
-    def seeds(self, lo: int, hi: int) -> "list[np.ndarray | None]":
-        """Seeds for ``order[lo:hi]`` from the state absorbed so far.
-
-        Vectorized across columns: every target in a column shares the
-        same donor pool, and on a regular grid every column of a pass
-        shares the same donor *positions* and target positions, so the
-        window selection, Lagrange weights and guard all run as one
-        batched numpy computation per cluster of alike columns
-        (:func:`_lagrange_seeds`) -- per-point Python seeding
-        measurably ate the kernel-side iteration savings on dense
-        grids.
-        """
-        out: "list[np.ndarray | None]" = [None] * (hi - lo)
-        if not self.numeric:
-            return out
-        groups: dict[tuple, list[int]] = {}
-        for offset, (signature, coord, _) in enumerate(self.entries[lo:hi]):
-            groups.setdefault((signature,) + coord[1:], []).append(offset)
-        clusters: dict[tuple, list[tuple[list[int], list]]] = {}
-        for column, offsets in groups.items():
-            donors = self._columns.get(column)
-            if not donors:
-                for o in offsets:
-                    signature, coord, _ = self.entries[lo + o]
-                    out[o] = self._nearest_solved(signature, coord)
-                continue
-            xs = tuple(x for x, _ in donors)
-            targets = tuple(self.entries[lo + o][1][0] for o in offsets)
-            shape = donors[0][1].shape
-            clusters.setdefault((xs, targets, shape), []).append(
-                (offsets, donors)
-            )
-        for (xs, targets, shape), members in clusters.items():
-            stacked = np.array(
-                [[state for _, state in donors] for _, donors in members]
-            )
-            seeds = _lagrange_seeds(
-                np.array(xs),
-                stacked.reshape(len(members), len(xs), -1),
-                np.array(targets),
-            )
-            for (offsets, _), rows in zip(members, seeds):
-                for o, row in zip(offsets, rows):
-                    out[o] = row.reshape(shape).copy()
-        return out
-
-    def _nearest_solved(self, signature: tuple,
-                        coord: tuple) -> "np.ndarray | None":
-        """Copy the closest solved same-signature point (any column)."""
-        solved = self._solved.get(signature)
-        if not solved:
-            return None
-        target = np.asarray(coord)
-        nearest = min(
-            solved,
-            key=lambda donor: float(np.sum(
-                ((np.asarray(donor[0]) - target) / self._spans) ** 2
-            )),
-        )
-        return nearest[1].copy()
-
-    def absorb(self, lo: int, hi: int, states: "list[object]") -> None:
-        """Record the converged states of ``order[lo:hi]`` for later seeds."""
-        # One batched finiteness check per state shape: a per-point
-        # ``np.isfinite(...).all()`` costs more than the seeds save on
-        # the evaluators whose whole batch solve is a few milliseconds.
-        by_shape: dict[tuple, list[tuple[int, np.ndarray]]] = {}
-        for offset, state in enumerate(states):
-            if state is None:
-                continue
-            arr = np.asarray(state, dtype=float)
-            by_shape.setdefault(arr.shape, []).append((offset, arr))
-        for shaped in by_shape.values():
-            block = np.stack([arr for _, arr in shaped])
-            finite = np.isfinite(block.reshape(len(shaped), -1)).all(axis=1)
-            for (offset, arr), ok in zip(shaped, finite):
-                if not ok:
-                    continue
-                signature, coord, _ = self.entries[lo + offset]
-                if self.numeric:
-                    column = (signature,) + coord[1:]
-                    self._columns.setdefault(column, []).append(
-                        (coord[0], arr)
-                    )
-                self._solved.setdefault(signature, []).append((coord, arr))
-
-    def stager(self) -> "_WarmStager | None":
-        """An in-solve activation stager over :attr:`order`, or ``None``.
-
-        ``None`` when there is nothing to stage (no numeric axis, or a
-        single refinement pass), in which case the caller should fall
-        back to the chunked pass-by-pass dispatch.
-        """
-        if not self.numeric or len(self.boundaries) < 2:
-            return None
-        return _WarmStager(self)
-
-
-class _StageGroup:
-    """One column's points at one refinement level, awaiting donors."""
-
-    __slots__ = ("rows", "targets", "donor_rows", "donor_xs", "pending")
-
-    def __init__(self, rows, targets, donor_rows, donor_xs):
-        self.rows = rows
-        self.targets = targets
-        self.donor_rows = donor_rows
-        self.donor_xs = donor_xs
-        self.pending = len(donor_rows)
-
-
-class _WarmStager:
-    """Stages point activation inside one batched fixed-point solve.
-
-    The pass-by-pass warm loop pays one solver call per refinement
-    level, and every pass runs as long as its slowest point -- a
-    handful of hard points near a saturation knee pin each pass at
-    near-cold depth, so the passes' tails serialise.  Staging instead
-    hands the *whole* miss set to one masked solve: level-0 points
-    start active (cold), every finer-level group stays dormant until
-    each of its donor points is *ready* -- retired, or within
-    :data:`_WARM_READY` relative residual -- and then activates with
-    guarded polynomial seeds interpolated from the donors' current
-    iterates (:func:`_lagrange_seeds`).  Columns progress
-    independently, so one column's straggler no longer stalls
-    another's refinement, and the per-call dispatch cost is paid once.
-
-    Implements the ``stager`` protocol of
-    :func:`repro.core.solver.solve_fixed_point_batch`:
-    :attr:`initial_active` plus :meth:`poll`.  A donor that diverges
-    never turns ready; its dependents are force-activated cold by the
-    solver once every active point retires, so staging cannot stall a
-    solve.  Seeds from nearly-converged donors are safe for the same
-    reason all warm seeds are: a seed only moves a point's first
-    iterate, never the fixed point it converges to.
-    """
-
-    def __init__(self, scheduler: _WarmScheduler) -> None:
-        entries = scheduler.entries
-        levels = scheduler.levels
-        n = len(entries)
-        self.initial_active = np.array([lvl == 0 for lvl in levels])
-        #: Points handed finite seeds at activation (telemetry).
-        self.seeded = 0
-        columns: dict[tuple, list[int]] = {}
-        for i, (signature, coord, _) in enumerate(entries):
-            columns.setdefault((signature,) + coord[1:], []).append(i)
-        self._groups: list[_StageGroup] = []
-        #: donor row -> indices of groups waiting on it.
-        self._watchers: dict[int, list[int]] = {}
-        self._watched = np.zeros(n, dtype=bool)
-        self._ready = np.zeros(n, dtype=bool)
-        for members in columns.values():
-            by_level: dict[int, list[int]] = {}
-            for i in members:
-                by_level.setdefault(levels[i], []).append(i)
-            if len(by_level) < 2:
-                continue  # single-level column: all points start active
-            # Position 0 of every column is level 0, so each group's
-            # donor pool (every coarser level of the column) is
-            # non-empty by construction.
-            donor_rows: list[int] = by_level[0]
-            for level in sorted(by_level)[1:]:
-                rows = by_level[level]
-                group = _StageGroup(
-                    rows=np.array(rows, dtype=np.int64),
-                    targets=np.array([entries[i][1][0] for i in rows]),
-                    donor_rows=np.array(donor_rows, dtype=np.int64),
-                    donor_xs=np.array(
-                        [entries[i][1][0] for i in donor_rows]
-                    ),
-                )
-                index = len(self._groups)
-                self._groups.append(group)
-                for donor in donor_rows:
-                    self._watched[donor] = True
-                    self._watchers.setdefault(donor, []).append(index)
-                donor_rows = donor_rows + rows
-
-    def poll(self, x, residuals, active, dormant):
-        """Activations triggered by donors that became ready this step.
-
-        Yields ``(rows, seeds)`` for every group whose last pending
-        donor just turned ready.  A retired-but-diverged donor counts
-        as ready too: its non-finite state propagates through the seed
-        guards into non-finite seed rows, which the solver starts cold
-        -- strictly better than holding the group dormant.
-        """
-        fresh = (
-            self._watched
-            & ~self._ready
-            & ~dormant
-            & (~active | (residuals <= _WARM_READY))
-        )
-        if not fresh.any():
-            return
-        self._ready |= fresh
-        for donor in np.flatnonzero(fresh):
-            for index in self._watchers[donor]:
-                group = self._groups[index]
-                group.pending -= 1
-                if group.pending == 0:
-                    yield self._activate(group, x)
-
-    def _activate(self, group: _StageGroup, x: np.ndarray):
-        donors = x[group.donor_rows]
-        seeds = _lagrange_seeds(
-            group.donor_xs,
-            donors.reshape(1, len(donors), -1),
-            group.targets,
-        )[0].reshape((len(group.rows),) + donors.shape[1:])
-        self.seeded += int(
-            np.isfinite(seeds.reshape(len(seeds), -1)).all(axis=1).sum()
-        )
-        return group.rows, seeds
-
 
 def _resolve_telemetry(
     metrics: "MetricsRegistry | bool | None",
@@ -591,7 +123,6 @@ def run_sweep(
     jobs: int = 1,
     executor: Union[SerialExecutor, ParallelExecutor, None] = None,
     batch: bool = True,
-    warm_start: bool = False,
     metrics: "MetricsRegistry | bool | None" = None,
     progress: object = None,
     events: object = None,
@@ -626,19 +157,6 @@ def run_sweep(
         companion, all cache misses are evaluated in one vectorized
         in-process call (bit-identical values, no pool dispatch).
         ``False`` forces per-point evaluation through the executor.
-    warm_start:
-        If True and the evaluator advertises a warm-start companion
-        (the analytic LoPC evaluators do), cache misses are reordered
-        along the swept numeric axes and evaluated in chunks, each
-        chunk's solver iterations seeded by polynomial extrapolation of
-        the previously converged chunks' states -- same fixed points to
-        within solver tolerance, in roughly half the AMVA iterations on
-        dense grids.  Warm-starting is an execution strategy, not a
-        model parameter: cache keys are unchanged, so warm and cold
-        records are interchangeable.  The default ``False`` preserves
-        the cold path bit for bit.  Ignored (cold path) for evaluators
-        without a warm companion, and when ``batch``/``executor``
-        disable the batch fast path.
     metrics:
         A :class:`~repro.obs.MetricsRegistry`, ``True`` for a fresh one,
         or ``None`` to inherit the ambient bundle's.  The registry
@@ -658,12 +176,10 @@ def run_sweep(
     """
     tel, own_events = _resolve_telemetry(metrics, progress, events)
     if not tel.enabled:
-        return _run_sweep(spec, cache, jobs, executor, batch, warm_start, None)
+        return _run_sweep(spec, cache, jobs, executor, batch, None)
     try:
         with _obs_context.activate(tel):
-            return _run_sweep(
-                spec, cache, jobs, executor, batch, warm_start, tel
-            )
+            return _run_sweep(spec, cache, jobs, executor, batch, tel)
     finally:
         if own_events and tel.events is not None:
             tel.events.close()
@@ -675,7 +191,6 @@ def _run_sweep(
     jobs: int,
     executor: Union[SerialExecutor, ParallelExecutor, None],
     batch: bool,
-    warm_start: bool,
     tel: Telemetry | None,
 ) -> SweepResult:
     get_evaluator(spec.evaluator)  # fail fast on unknown evaluators
@@ -720,11 +235,6 @@ def _run_sweep(
                 misses.append((point.index, key, params))
 
         batch_func = get_batch_evaluator(spec.evaluator) if use_batch else None
-        warm_func = (
-            get_warm_evaluator(spec.evaluator)
-            if warm_start and use_batch
-            else None
-        )
         total = len(points)
         hits = total - len(misses)
 
@@ -790,109 +300,11 @@ def _run_sweep(
         # metrics-only (and disabled) paths keep the one-shot dispatch
         # the overhead gate times.  Chunking the batch kernels is safe
         # because per-point masking makes every point's trajectory
-        # independent of its batch-mates.  The warm-start path is
-        # *always* chunked, at the scheduler's refinement passes --
-        # later passes are seeded from earlier passes' converged
-        # states, so the feedback loop needs exactly those boundaries
-        # (and each pass stays wide enough to vectorize over).
+        # independent of its batch-mates.
         live = tel is not None and (
             tel.progress is not None or tel.events is not None
         )
-        warm_stats: "dict[str, object] | None" = None
-        if warm_func is not None and misses:
-            scheduler = _WarmScheduler(spec, misses)
-            done = hits
-            report(done, None)
-            miss_started = time.perf_counter()
-            seeded_total = 0
-            chunk_seeded: list[int] = []
-            stager = (
-                scheduler.stager()
-                if warm_supports_staging(spec.evaluator)
-                else None
-            )
-            if stager is not None:
-                # Staged activation: every refinement pass rides one
-                # solver call -- later levels sit dormant inside the
-                # masked solve and wake with interpolated seeds as
-                # their donors converge, so one column's straggler
-                # cannot pin every pass's depth and the per-call
-                # dispatch cost is paid once.
-                chunk = scheduler.order
-                fresh, _ = evaluate_batch_warm(
-                    spec.evaluator,
-                    [p for _, _, p in chunk],
-                    [None] * len(chunk),
-                    stager=stager,
-                )
-                for (index, key, params), outcome in zip(chunk, fresh):
-                    absorb(index, key, params, outcome)
-                seeded_total = stager.seeded
-                chunk_seeded.append(seeded_total)
-                done = total
-                if tel is not None and tel.events is not None:
-                    tel.events.emit(
-                        "sweep.chunk",
-                        spec=spec.name,
-                        done=done,
-                        total=total,
-                        chunk_points=len(chunk),
-                        eta=0.0,
-                    )
-                report(done, 0.0)
-            else:
-                for lo, hi in scheduler.boundaries:
-                    chunk = scheduler.order[lo:hi]
-                    seeds = scheduler.seeds(lo, hi)
-                    fresh, states = evaluate_batch_warm(
-                        spec.evaluator, [p for _, _, p in chunk], seeds
-                    )
-                    scheduler.absorb(lo, hi, states)
-                    for (index, key, params), outcome in zip(chunk, fresh):
-                        absorb(index, key, params, outcome)
-                    n_seeded = sum(1 for seed in seeds if seed is not None)
-                    seeded_total += n_seeded
-                    chunk_seeded.append(n_seeded)
-                    done += len(chunk)
-                    done_misses = done - hits
-                    elapsed_miss = time.perf_counter() - miss_started
-                    eta = (
-                        (len(misses) - done_misses)
-                        * elapsed_miss / done_misses
-                        if done_misses
-                        else None
-                    )
-                    if tel is not None and tel.events is not None:
-                        tel.events.emit(
-                            "sweep.chunk",
-                            spec=spec.name,
-                            done=done,
-                            total=total,
-                            chunk_points=len(chunk),
-                            eta=eta,
-                        )
-                    report(done, eta)
-            warm_stats = {
-                "chunks": len(chunk_seeded),
-                "seeded": seeded_total,
-                "cold": len(misses) - seeded_total,
-                "chunk_seeded": chunk_seeded,
-            }
-            if registry is not None:
-                registry.inc("sweep.warm_start.seeded", seeded_total)
-                registry.inc(
-                    "sweep.warm_start.cold", len(misses) - seeded_total
-                )
-            if tel is not None and tel.events is not None:
-                tel.events.emit(
-                    "sweep.warm_start",
-                    spec=spec.name,
-                    points=len(misses),
-                    seeded=seeded_total,
-                    cold=len(misses) - seeded_total,
-                    chunk_seeded=chunk_seeded,
-                )
-        elif not live or not misses:
+        if not live or not misses:
             report(hits, None)
             fresh = evaluate(misses)
             for (index, key, params), outcome in zip(misses, fresh):
@@ -970,10 +382,6 @@ def _run_sweep(
         "solver_version": SOLVER_VERSION,
         "routing": routing,
     }
-    if warm_stats is not None:
-        # Only present when the warm path actually ran, so cold-mode
-        # metadata stays byte-identical to pre-warm-start runs.
-        metadata["warm_start"] = warm_stats
     if store is not None:
         metadata["cache_stats"] = store.stats.as_dict()
     if registry is not None:

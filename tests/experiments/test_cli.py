@@ -94,8 +94,8 @@ class TestRun:
         def explode(task):
             raise AssertionError("evaluator ran despite a warm cache")
 
-        for name in list(evaluators_mod._EVALUATORS):
-            monkeypatch.setitem(evaluators_mod._EVALUATORS, name, explode)
+        for entry in evaluators_mod._REGISTRY.values():
+            monkeypatch.setattr(entry, "func", explode)
         assert main(["run", "fig-5.2", "--fast",
                      "--cache-dir", str(cache)]) == 0
         warm = capsys.readouterr().out

@@ -167,18 +167,6 @@ class TestKnee:
                         subject_to="X >= 0")
 
 
-class TestWarmStart:
-    def test_same_answer_with_and_without(self):
-        sc = scenario("workpile", **WORKPILE)
-        cold = sc.optimize(maximize="X", over={"Ps": (1, 31)})
-        warm = sc.optimize(maximize="X", over={"Ps": (1, 31)},
-                           warm_start=True)
-        assert warm.argbest == cold.argbest
-        assert warm.best == pytest.approx(cold.best, rel=1e-9)
-        assert warm.meta["warm_start"] is True
-        assert cold.meta["warm_start"] is False
-
-
 class TestErrorsAndSchema:
     def test_two_modes_rejected(self):
         sc = scenario("alltoall", **ALLTOALL)

@@ -27,7 +27,7 @@ def _result(**overrides):
         points=26,
         steps=6,
         converged=True,
-        meta={"warm_start": False},
+        meta={"axes": {"W": {"integer": False, "log": False}}},
     )
     base.update(overrides)
     return OptResult(**base)

@@ -61,9 +61,7 @@ def make_evaluator():
 
     yield factory
     for name in registered:
-        ev._EVALUATORS.pop(name, None)
-        ev._BATCH_EVALUATORS.pop(name, None)
-        ev._DEFAULTS.pop(name, None)
+        ev._REGISTRY.pop(name, None)
 
 
 @pytest.fixture

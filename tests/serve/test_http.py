@@ -122,6 +122,19 @@ class TestSweepJobs:
         assert err.value.status == 409
         client.wait(job_id, timeout=30.0)  # drain before teardown
 
+    def test_negative_since_is_400(self, http_service):
+        client, _ = http_service
+        job_id = client.submit({
+            "name": "since", "evaluator": "alltoall-model",
+            "base": {"P": 8, "St": 40.0, "So": 200.0, "C2": 0.0},
+            "axes": [{"type": "grid", "name": "W", "values": [100.0]}],
+        })
+        assert client.status(job_id, since=0)["state"] == "done"
+        with pytest.raises(ServeError) as err:
+            client.status(job_id, since=-1)
+        assert err.value.status == 400
+        assert "since" in str(err.value)
+
     def test_unknown_job_is_404(self, http_service):
         client, _ = http_service
         with pytest.raises(ServeError) as err:

@@ -49,21 +49,20 @@ class TestBatchRegistry:
             register_batch_evaluator("no-scalar-here")(lambda ps: [])
 
     def test_duplicate_batch_registration_rejected(self, monkeypatch):
-        monkeypatch.setitem(evaluators_mod._EVALUATORS, "dup-test",
-                            lambda p: {})
+        monkeypatch.setitem(evaluators_mod._REGISTRY, "dup-test",
+                            evaluators_mod._Entry(lambda p: {}))
         register_batch_evaluator("dup-test")(lambda ps: [{} for _ in ps])
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_batch_evaluator("dup-test")(lambda ps: [])
-        finally:
-            evaluators_mod._BATCH_EVALUATORS.pop("dup-test", None)
+        with pytest.raises(ValueError, match="already registered"):
+            register_batch_evaluator("dup-test")(lambda ps: [])
 
     def test_evaluate_batch_checks_length(self, monkeypatch):
-        monkeypatch.setitem(evaluators_mod._EVALUATORS, "short", lambda p: {})
-        monkeypatch.setitem(evaluators_mod._BATCH_EVALUATORS, "short",
-                            lambda ps: [{}])
+        monkeypatch.setitem(
+            evaluators_mod._REGISTRY, "short",
+            evaluators_mod._Entry(lambda p: {}, batch=lambda ps: [{}]),
+        )
         with pytest.raises(ValueError, match="2 points"):
             evaluate_batch("short", [{"a": 1}, {"a": 2}])
+        assert evaluate_batch("short", []) == []
 
     def test_evaluate_batch_without_companion_raises(self):
         with pytest.raises(KeyError, match="batch companion"):
@@ -102,7 +101,7 @@ class TestRunnerFastPath:
         def explode(params):
             raise AssertionError("scalar evaluator ran on the batch path")
 
-        monkeypatch.setitem(evaluators_mod._EVALUATORS, "alltoall-model",
+        monkeypatch.setattr(evaluators_mod._REGISTRY["alltoall-model"], "func",
                             explode)
         result = run_sweep(_model_spec())
         assert result.metadata["cache_misses"] == 3
@@ -168,8 +167,7 @@ class TestRunnerFastPath:
             assert calls == [3]
             assert [r.values["y"] for r in result] == [1, 2, 3]
         finally:
-            evaluators_mod._EVALUATORS.pop("batch-cap-test", None)
-            evaluators_mod._BATCH_EVALUATORS.pop("batch-cap-test", None)
+            evaluators_mod._REGISTRY.pop("batch-cap-test", None)
 
 
 class TestFigureParity:

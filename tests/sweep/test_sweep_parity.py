@@ -41,8 +41,8 @@ class TestFig52Parity:
         # Second invocation: zero misses, and the evaluators never run.
         cache.stats.misses = 0
         for name in ("alltoall-model", "alltoall-sim", "alltoall-bounds"):
-            monkeypatch.setitem(
-                evaluators_mod._EVALUATORS, name,
+            monkeypatch.setattr(
+                evaluators_mod._REGISTRY[name], "func",
                 lambda task, _n=name: (_ for _ in ()).throw(
                     AssertionError(f"{_n} ran with a warm cache")
                 ),

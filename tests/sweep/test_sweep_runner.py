@@ -72,7 +72,7 @@ class TestRunSweep:
         def explode(task):
             raise AssertionError(f"evaluator ran on warm cache: {task}")
 
-        monkeypatch.setitem(evaluators_mod._EVALUATORS, "alltoall-sim",
+        monkeypatch.setattr(evaluators_mod._REGISTRY["alltoall-sim"], "func",
                             explode)
         warm = run_sweep(spec, cache=cache)
         assert warm.metadata["cache_misses"] == 0
