@@ -37,9 +37,10 @@ numbers should use the defaults.  With ``--out``, each experiment writes
 
 ``--metrics FILE`` records solver/simulator/cache telemetry
 (:mod:`repro.obs`) during a ``sweep`` or ``scenario`` run and writes the
-snapshot as JSON; ``--progress`` prints live per-chunk progress lines to
-stderr; ``--events FILE`` streams structured JSONL events.  ``stats``
-renders a ``--metrics`` file back into tables.  Telemetry never changes
+snapshot as JSON; ``--progress`` prints live progress lines to stderr
+(about 20 per sweep, reported from inside the one batch solve);
+``--events FILE`` streams structured JSONL events.  ``stats`` renders a
+``--metrics`` file back into tables.  Telemetry never changes
 results -- values and cache keys are bit-identical either way.
 
 ``--jobs N`` evaluates sweep points on ``N`` worker processes (``0`` =

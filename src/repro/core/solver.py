@@ -41,6 +41,7 @@ from repro.obs import (
     TRAJECTORY_CAP,
     observe_batch_solve,
     observe_scalar_solve,
+    solve_progress,
 )
 from repro.obs import context as _obs_context
 
@@ -246,6 +247,7 @@ def solve_fixed_point_batch(
     trajectory: list[float] | None = (
         [] if tel is not None and tel.events is not None else None
     )
+    progress = solve_progress(tel, n_points)
 
     for iteration in range(1, max_iter + 1):
         if not active.any():
@@ -278,12 +280,16 @@ def solve_fixed_point_batch(
         done = rows[good][residual[good] <= tol]
         converged[done] = True
         active[done] = False
+        if progress is not None:
+            progress.advance(bad.size + done.size)
         if trajectory is not None and len(trajectory) < TRAJECTORY_CAP:
             finite_res = residual[good]
             trajectory.append(
                 float(finite_res.max()) if finite_res.size else float("inf")
             )
 
+    if progress is not None:
+        progress.close()
     if tel is not None:
         observe_batch_solve(
             tel, "solver.fixed_point_batch", iterations, converged,

@@ -45,7 +45,7 @@ import numpy as np
 from repro.mva.amva import AMVAResult
 from repro.mva.multiclass import MultiClassAMVAResult, MultiClassMVAResult
 from repro.obs import context as _obs_context
-from repro.obs import observe_batch_solve
+from repro.obs import observe_batch_solve, solve_progress
 from repro.mva.network import (
     as_integer_array,
     check_degenerate_batch,
@@ -271,6 +271,8 @@ def _batch_amva(
     # Population-0 points are solved in closed form, like the scalar path.
     converged[pops == 0] = True
     active = pops > 0
+    tel = _obs_context.active()
+    progress = solve_progress(tel, n_points)
 
     for iteration in range(1, max_iter + 1):
         if not active.any():
@@ -294,7 +296,11 @@ def _batch_amva(
         done = np.flatnonzero(idx)[delta < tol]
         converged[done] = True
         active[done] = False
+        if progress is not None:
+            progress.advance(done.size)
 
+    if progress is not None:
+        progress.close()
     result = BatchMVAResult(
         method=method,
         populations=pops,
@@ -306,7 +312,6 @@ def _batch_amva(
         iterations=iterations,
         converged=converged,
     )
-    tel = _obs_context.active()
     if tel is not None:
         observe_batch_solve(tel, f"mva.batch.{method}", iterations, converged)
     return result
@@ -641,6 +646,8 @@ def batch_multiclass_amva(
     iterations = np.zeros(n_points, dtype=np.int64)
     converged = np.zeros(n_points, dtype=bool)
     active = np.ones(n_points, dtype=bool)
+    tel = _obs_context.active()
+    progress = solve_progress(tel, n_points)
 
     for iteration in range(1, max_iter + 1):
         if not active.any():
@@ -672,7 +679,11 @@ def batch_multiclass_amva(
         done = np.flatnonzero(idx)[delta < tol]
         converged[done] = True
         active[done] = False
+        if progress is not None:
+            progress.advance(done.size)
 
+    if progress is not None:
+        progress.close()
     result = BatchMultiClassMVAResult(
         method=method,
         populations=pops,
@@ -684,7 +695,6 @@ def batch_multiclass_amva(
         iterations=iterations,
         converged=converged,
     )
-    tel = _obs_context.active()
     if tel is not None:
         observe_batch_solve(
             tel, f"mva.multiclass.{method}", iterations, converged

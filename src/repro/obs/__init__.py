@@ -18,13 +18,16 @@ changes results -- instrumentation observes the values the solvers
 already computed (iteration counts, residuals, convergence masks) and
 is covered by bit-identity tests against telemetry-off runs.
 
-The helpers below fold solver diagnostics into a bundle; they live here
-so the solver and kernel hook sites stay one call each.
+The helpers below fold solver diagnostics into a bundle, and
+:func:`solve_progress` turns a masked solve's converged rows into
+throttled progress increments; they live here so the solver and kernel
+hook sites stay one call each.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -53,11 +56,15 @@ __all__ = [
     "observe_opt_query",
     "observe_opt_step",
     "observe_scalar_solve",
+    "solve_progress",
     "telemetry",
 ]
 
 #: Cap on recorded residual trajectories (one float per iteration).
 TRAJECTORY_CAP = 4096
+
+#: Most converged-row updates one masked solve sends its progress sink.
+PROGRESS_UPDATES = 20
 
 
 def observe_scalar_solve(
@@ -131,6 +138,54 @@ def observe_batch_solve(
             residual_trajectory=trajectory,
             **extra,
         )
+
+
+class SolveProgress:
+    """Throttled converged-row counter for one masked batch solve.
+
+    The masked loops call :meth:`advance` with the number of rows that
+    froze in each iteration (the executors, with each finished record);
+    the sink receives increments of at least ``rows / PROGRESS_UPDATES``,
+    so at most ``PROGRESS_UPDATES`` calls per solve.  :meth:`close`
+    reports every row not yet reported (including rows that hit
+    ``max_iter`` or were solved before the loop), so one solve's
+    increments sum to ``rows``.
+    """
+
+    __slots__ = ("_sink", "_step", "_pending", "_left")
+
+    def __init__(self, sink: "Callable[[int], None]", rows: int) -> None:
+        self._sink = sink
+        self._step = max(1, -(-rows // PROGRESS_UPDATES))
+        self._pending = 0
+        self._left = rows
+
+    def advance(self, frozen: int) -> None:
+        self._pending += frozen
+        if self._pending >= self._step:
+            self._flush()
+
+    def close(self) -> None:
+        if self._left:
+            self._pending = self._left
+            self._flush()
+
+    def _flush(self) -> None:
+        self._left -= self._pending
+        self._sink(self._pending)
+        self._pending = 0
+
+
+def solve_progress(
+    tel: "Telemetry | None", rows: int
+) -> "SolveProgress | None":
+    """A :class:`SolveProgress` for the active progress sink, or None.
+
+    Masked loops look this up once before iterating, so a solve without
+    a sink pays one ``is None`` check per iteration and nothing else.
+    """
+    sink = tel.progress_sink if tel is not None else None
+    return SolveProgress(sink, rows) if sink is not None else None
 
 
 def observe_opt_step(tel: Telemetry, **fields: object) -> None:

@@ -3,19 +3,22 @@
 The instrumented layers (solvers, batch kernels, simulator, executors)
 cannot take a ``metrics=`` argument without threading it through every
 model and evaluator signature -- and through the cache keys those
-signatures feed.  Instead, one module-level *active bundle* is
-installed for the duration of a run (:func:`activate`, used by
-``run_sweep`` and the CLI) and hooks look it up:
+signatures feed.  Instead, one *active bundle* is installed for the
+duration of a run (:func:`activate`, used by ``run_sweep`` and the
+CLI) and hooks look it up:
 
     tel = context.active()
     if tel is None:          # the disabled path: one check, no work
         ...
 
 ``active() is None`` is the whole disabled-overhead story, mirroring
-the ``node.tracer`` idiom of :mod:`repro.sim.trace`.  The bundle is
-process-local: process-pool workers never see the parent's registry
-(their wall time and event counts travel back in record meta instead),
-which is documented behaviour, not an accident.
+the ``node.tracer`` idiom of :mod:`repro.sim.trace`.  The bundle lives
+in a :class:`~contextvars.ContextVar`, so it is thread-local: sweeps
+running concurrently on a server's threads each report into their own
+bundle, and a thread that activated nothing sees ``None``.  It is also
+process-local: process-pool workers never report into the parent's
+registry (their wall time and event counts travel back in record meta
+instead), which is documented behaviour, not an accident.
 
 :func:`telemetry` is the public convenience wrapper: it coerces path /
 callable arguments and activates the bundle around a ``with`` block, so
@@ -28,8 +31,9 @@ any code path -- not just ``run_sweep`` -- can be observed::
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.obs.events import EventLog, SinkLike
 from repro.obs.metrics import MetricsRegistry
@@ -40,11 +44,19 @@ __all__ = ["Telemetry", "activate", "active", "current_metrics", "telemetry"]
 
 @dataclass(frozen=True)
 class Telemetry:
-    """The bundle of sinks a run records into (any subset may be None)."""
+    """The bundle of sinks a run records into (any subset may be None).
+
+    ``progress_sink`` is internal plumbing, not a user sink: the sweep
+    runner installs one around its miss evaluation; the masked batch
+    solves feed it converged-row counts and the executors finished
+    records (see :func:`repro.obs.solve_progress`), which it turns into
+    sweep-level ``progress.update`` calls.
+    """
 
     metrics: MetricsRegistry | None = None
     events: EventLog | None = None
     progress: ProgressReporter | None = None
+    progress_sink: Callable[[int], None] | None = None
 
     @property
     def enabled(self) -> bool:
@@ -55,30 +67,30 @@ class Telemetry:
         )
 
 
-_ACTIVE: Telemetry | None = None
+_ACTIVE: ContextVar[Telemetry | None] = ContextVar(
+    "repro_obs_active", default=None
+)
 
 
 def active() -> Telemetry | None:
     """The currently-installed bundle, or None (telemetry disabled)."""
-    return _ACTIVE
+    return _ACTIVE.get()
 
 
 def current_metrics() -> MetricsRegistry | None:
     """Shorthand for the active bundle's registry (hot-path hooks)."""
-    tel = _ACTIVE
+    tel = _ACTIVE.get()
     return tel.metrics if tel is not None else None
 
 
 @contextmanager
 def activate(tel: Telemetry | None) -> Iterator[Telemetry | None]:
     """Install ``tel`` as the active bundle for the block (re-entrant)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tel
+    token = _ACTIVE.set(tel)
     try:
         yield tel
     finally:
-        _ACTIVE = previous
+        _ACTIVE.reset(token)
 
 
 @contextmanager

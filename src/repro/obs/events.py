@@ -3,9 +3,9 @@
 An :class:`EventLog` records timestamped, typed events -- one JSON
 object per line when backed by a file, plain dicts when in-memory.
 The solvers emit one end-of-solve event (with the residual trajectory
-when one was collected), the sweep runner emits ``sweep.start`` /
-``sweep.chunk`` / ``sweep.finish``, the simulator layer emits per-run
-summaries.  Events are *never* recorded per simulator event or per
+when one was collected), the sweep runner emits ``sweep.start``, a
+throttled stream of ``sweep.progress`` (``done``, ``total``, ``eta``)
+and ``sweep.finish``, the simulator layer emits per-run summaries.  Events are *never* recorded per simulator event or per
 solver iteration: a sink stays cheap enough to leave on for whole
 studies.
 

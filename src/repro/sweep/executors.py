@@ -2,7 +2,10 @@
 
 Both executors consume ``(evaluator_name, params_dict)`` tasks -- plain
 picklable tuples, so the same task list feeds either backend -- and
-return records in task order.
+return records in task order.  When the active telemetry bundle carries
+a ``progress_sink`` (the sweep runner installs one while a progress
+reporter or event log is attached), finished records feed it through
+:func:`repro.obs.solve_progress`, in task order.
 
 :class:`SerialExecutor`
     Runs everything in-process.  The default, and what ``jobs == 1``
@@ -25,9 +28,10 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.obs import context as _obs_context
+from repro.obs import solve_progress
 from repro.sweep.evaluators import evaluate_point
 
 __all__ = ["ParallelExecutor", "SerialExecutor", "get_executor"]
@@ -58,6 +62,19 @@ def _record_dispatch(metrics, workers: int, records: list[dict],
         )
 
 
+def _collect(records: Iterable[dict], n_tasks: int) -> list[dict]:
+    """Gather records as they finish, feeding the active progress sink."""
+    progress = solve_progress(_obs_context.active(), n_tasks)
+    if progress is None:
+        return list(records)
+    out = []
+    for record in records:
+        out.append(record)
+        progress.advance(1)
+    progress.close()
+    return out
+
+
 @dataclass(frozen=True)
 class SerialExecutor:
     """Evaluate tasks one after another in the calling process."""
@@ -66,13 +83,12 @@ class SerialExecutor:
 
     def map(self, tasks: Sequence[Task]) -> list[dict]:
         metrics = _obs_context.current_metrics()
-        if metrics is None:
-            return [evaluate_point(task) for task in tasks]
         started = time.perf_counter()
-        records = [evaluate_point(task) for task in tasks]
-        _record_dispatch(
-            metrics, 1, records, time.perf_counter() - started
-        )
+        records = _collect(map(evaluate_point, tasks), len(tasks))
+        if metrics is not None:
+            _record_dispatch(
+                metrics, 1, records, time.perf_counter() - started
+            )
         return records
 
 
@@ -115,9 +131,10 @@ class ParallelExecutor:
         metrics = _obs_context.current_metrics()
         started = time.perf_counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
+            records = _collect(
                 pool.map(evaluate_point, tasks,
-                         chunksize=self._chunksize(len(tasks)))
+                         chunksize=self._chunksize(len(tasks))),
+                len(tasks),
             )
         if metrics is not None:
             _record_dispatch(

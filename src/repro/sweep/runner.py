@@ -25,18 +25,20 @@ Telemetry (:mod:`repro.obs`) threads through three keyword arguments --
 an enclosing ``obs.telemetry(...)`` block installed (explicit wins).
 The bundle is activated around evaluation so every instrumented layer
 underneath (solver loops, batch kernels, simulator, executors) reports
-into it.  Cache misses are evaluated in chunks *only* when a progress
-reporter or event sink is attached -- chunking a batch kernel changes
-wall-clock bookkeeping but never values or cache keys, and the
-metrics-only path stays single-shot so the disabled/metrics overhead
-gate measures the same dispatch shape.
+into it.  The misses are evaluated in one call whether or not telemetry
+is attached.  With a progress reporter or event sink, that call runs
+under a bundle whose ``progress_sink`` receives throttled converged-row
+counts from inside the masked solves (or finished-record counts from
+the executor) and turns them into ``update(done, total, info)`` calls
+and ``sweep.progress`` events; values and cache keys never depend on
+it.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 from typing import Union
 
@@ -63,11 +65,66 @@ __all__ = ["run_sweep"]
 
 CacheLike = Union[CacheBackend, ResultCache, str, Path, None]
 
-#: Target number of progress updates over a sweep's cache misses.
-_PROGRESS_CHUNKS = 20
-
 #: Keys of the routing split, in reporting order.
 _ROUTES = ("cached", "batch", "scalar", "sim")
+
+
+class _SweepProgress:
+    """Sweep-level progress over one miss evaluation.
+
+    Installed as the bundle's ``progress_sink``: the masked solves send
+    converged-row counts and the executors finished-record counts, each
+    already throttled by :func:`repro.obs.solve_progress`.  It sums them
+    across the several kernel calls one batch evaluator can make, keeps
+    the running count monotone and clamped to the miss count, and
+    forwards it as ``update(hits + done, total, info)`` calls and
+    ``sweep.progress`` events.  ``info["routing"]`` is the split of the
+    records assembled so far: the cache hits until the final update.
+    """
+
+    def __init__(self, tel: Telemetry, spec_name: str, total: int,
+                 hits: int) -> None:
+        self._tel = tel
+        self._spec = spec_name
+        self._total = total
+        self._hits = hits
+        self._misses = total - hits
+        self._routing = dict.fromkeys(_ROUTES, 0)
+        self._routing["cached"] = hits
+        self._done = 0  # misses finished so far
+        self._started = time.perf_counter()
+
+    def __call__(self, finished: int) -> None:
+        done = min(self._done + finished, self._misses)
+        if done > self._done:
+            elapsed = time.perf_counter() - self._started
+            self.report(done, (self._misses - done) * elapsed / done)
+
+    def report(self, done: int, eta: "float | None",
+               routing: "dict | None" = None) -> None:
+        """Send ``hits + done`` of ``total`` to the reporter and events."""
+        self._done = done
+        tel = self._tel
+        if tel.progress is not None:
+            tel.progress.update(
+                self._hits + done,
+                self._total,
+                {
+                    "spec": self._spec,
+                    "cache_hits": self._hits,
+                    "routing": routing or dict(self._routing),
+                    "eta": eta,
+                },
+            )
+        if tel.events is not None:
+            tel.events.emit(
+                "sweep.progress",
+                spec=self._spec,
+                done=self._hits + done,
+                total=self._total,
+                eta=eta,
+            )
+
 
 def _resolve_telemetry(
     metrics: "MetricsRegistry | bool | None",
@@ -164,8 +221,9 @@ def run_sweep(
         ``"telemetry"``.
     progress:
         A :class:`~repro.obs.ProgressReporter`, a bare ``(done, total,
-        info)`` callable, or ``None``.  Attaching one switches miss
-        evaluation to chunks so updates arrive while the sweep runs.
+        info)`` callable, or ``None``.  Updates arrive from inside the
+        one miss evaluation (about 20 per sweep), starting at the cache
+        hits and ending at ``total``.
     events:
         An :class:`~repro.obs.EventLog`, a JSONL path, an open file, or
         ``None``.  A path opened here is closed before returning.
@@ -238,8 +296,39 @@ def _run_sweep(
         total = len(points)
         hits = total - len(misses)
 
-        def absorb(index: int, key: "str | None", params: dict,
-                   outcome: dict) -> None:
+        if tel is not None and tel.events is not None:
+            tel.events.emit(
+                "sweep.start",
+                spec=spec.name,
+                evaluator=spec.evaluator,
+                points=total,
+                cache_hits=hits,
+                cache_misses=len(misses),
+                batched=batch_func is not None,
+            )
+
+        # One miss evaluation whether or not anyone watches: with a
+        # reporter or event log attached, the masked solves (or the
+        # executor, per finished record) feed progress from inside it.
+        progress = None
+        watching = nullcontext()
+        if tel is not None and (
+            tel.progress is not None or tel.events is not None
+        ):
+            progress = _SweepProgress(tel, spec.name, total, hits)
+            watching = _obs_context.activate(
+                replace(tel, progress_sink=progress)
+            )
+            progress.report(0, None)
+        params_list = [p for _, _, p in misses]
+        with watching:
+            if batch_func is not None:
+                fresh = evaluate_batch(spec.evaluator, params_list)
+            else:
+                fresh = executor.map(
+                    [(spec.evaluator, p) for p in params_list]
+                )
+        for (index, key, params), outcome in zip(misses, fresh):
             values, meta = outcome["values"], outcome["meta"]
             if store is not None:
                 store.put(
@@ -262,92 +351,12 @@ def _run_sweep(
                 meta=fresh_meta,
             )
 
-        def evaluate(chunk: "list[tuple[int, str, dict]]") -> list[dict]:
-            params_list = [p for _, _, p in chunk]
-            if batch_func is not None:
-                return evaluate_batch(spec.evaluator, params_list)
-            return executor.map([(spec.evaluator, p) for p in params_list])
-
-        def report(done: int, eta: "float | None") -> None:
-            if tel is None or tel.progress is None:
-                return
-            routing = dict.fromkeys(_ROUTES, 0)
-            for record in records.values():
-                routing[_route(record.meta)] += 1
-            tel.progress.update(
-                done,
-                total,
-                {
-                    "spec": spec.name,
-                    "cache_hits": hits if store is not None else 0,
-                    "routing": routing,
-                    "eta": eta,
-                },
-            )
-
-        if tel is not None and tel.events is not None:
-            tel.events.emit(
-                "sweep.start",
-                spec=spec.name,
-                evaluator=spec.evaluator,
-                points=total,
-                cache_hits=hits if store is not None else 0,
-                cache_misses=len(misses),
-                batched=batch_func is not None,
-            )
-
-        # Chunked evaluation exists for live feedback only: the
-        # metrics-only (and disabled) paths keep the one-shot dispatch
-        # the overhead gate times.  Chunking the batch kernels is safe
-        # because per-point masking makes every point's trajectory
-        # independent of its batch-mates.
-        live = tel is not None and (
-            tel.progress is not None or tel.events is not None
-        )
-        if not live or not misses:
-            report(hits, None)
-            fresh = evaluate(misses)
-            for (index, key, params), outcome in zip(misses, fresh):
-                absorb(index, key, params, outcome)
-            report(total, 0.0 if misses else None)
-        else:
-            chunk_size = max(1, math.ceil(len(misses) / _PROGRESS_CHUNKS))
-            if batch_func is None:
-                # Keep pool workers saturated: never dispatch a chunk
-                # smaller than one round of tasks per worker.
-                chunk_size = max(chunk_size, 4 * getattr(executor, "jobs", 1))
-            done = hits
-            report(done, None)
-            miss_started = time.perf_counter()
-            for lo in range(0, len(misses), chunk_size):
-                chunk = misses[lo:lo + chunk_size]
-                for (index, key, params), outcome in zip(
-                    chunk, evaluate(chunk)
-                ):
-                    absorb(index, key, params, outcome)
-                done += len(chunk)
-                done_misses = done - hits
-                elapsed_miss = time.perf_counter() - miss_started
-                eta = (
-                    (len(misses) - done_misses) * elapsed_miss / done_misses
-                    if done_misses
-                    else None
-                )
-                if tel is not None and tel.events is not None:
-                    tel.events.emit(
-                        "sweep.chunk",
-                        spec=spec.name,
-                        done=done,
-                        total=total,
-                        chunk_points=len(chunk),
-                        eta=eta,
-                    )
-                report(done, eta)
-
     ordered = tuple(records[point.index] for point in points)
     routing = dict.fromkeys(_ROUTES, 0)
     for record in ordered:
         routing[_route(record.meta)] += 1
+    if progress is not None:
+        progress.report(len(misses), 0.0 if misses else None, dict(routing))
     events_total = sum(
         int(r.meta["events"]) for r in ordered if "events" in r.meta
     )

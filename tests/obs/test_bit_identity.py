@@ -2,16 +2,21 @@
 
 Every sweep path -- analytic batch, analytic scalar, simulation -- is
 run twice, once with telemetry off and once with every sink attached
-(fresh metrics registry, progress callback forcing chunked evaluation,
-in-memory event log).  The value tables and the content-addressed cache
-keys must come out byte-for-byte identical: instrumentation only
+(fresh metrics registry, a progress callback fed from inside the masked
+solve, in-memory event log).  The value tables and the content-addressed
+cache keys must come out byte-for-byte identical: instrumentation only
 observes numbers the solvers already computed.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
+
+from repro import obs
+from repro.mva.batch import batch_schweitzer_amva
 from repro.obs import EventLog, MetricsRegistry
 from repro.sweep import GridAxis, SweepSpec, run_sweep
 
@@ -69,6 +74,56 @@ class TestAnalyticBatchPath:
         plain, observed = _run_pair(spec, tmp_path)
         assert observed.metadata["batched"] is True
         _assert_identical(plain, observed)
+
+
+    def test_multiclass_schweitzer_batch(self, tmp_path):
+        spec = SweepSpec(
+            name="bit-multiclass",
+            evaluator="multiclass-mva",
+            base={"N1": 20, "Z1": 1.0, "D0_0": 1.0, "D0_1": 0.95,
+                  "D1_0": 0.9, "D1_1": 1.0, "method": "schweitzer"},
+            axes=(GridAxis("Z0", (0.0, 2.0, 8.0)),
+                  GridAxis("N0", (4, 20, 60, 120))),
+        )
+        plain, observed = _run_pair(spec, tmp_path)
+        assert observed.metadata["batched"] is True
+        _assert_identical(plain, observed)
+
+    def test_workpile_batch(self, tmp_path):
+        spec = SweepSpec(
+            name="bit-workpile",
+            evaluator="workpile-model",
+            base={"P": 16, "St": 10.0, "So": 131.0, "C2": 0.0},
+            axes=(GridAxis("Ps", (1, 4, 8)),
+                  GridAxis("W", (100.0, 1000.0, 10000.0))),
+        )
+        plain, observed = _run_pair(spec, tmp_path)
+        assert observed.metadata["batched"] is True
+        _assert_identical(plain, observed)
+
+
+class TestBatchKernelUnderProgress:
+    def test_batch_schweitzer_amva_bitwise(self):
+        """No sweep evaluator reaches the single-class AMVA kernel, so
+        call it directly with a progress sink active."""
+        rng = np.random.default_rng(7)
+        demands = rng.uniform(0.1, 2.0, size=(40, 4))
+        populations = rng.integers(0, 60, size=40)
+        think_times = rng.uniform(0.0, 5.0, size=40)
+        plain = batch_schweitzer_amva(demands, populations, think_times)
+        sent = []
+        with obs.telemetry(progress=lambda *a: None, events=EventLog()) as tel:
+            # The converged-row sink run_sweep installs around its solve.
+            with obs.activate(replace(tel, progress_sink=sent.append)):
+                observed = batch_schweitzer_amva(
+                    demands, populations, think_times
+                )
+        assert sum(sent) == len(populations)
+        for field in ("throughput", "response_times", "queue_lengths",
+                      "utilizations", "cycle_time", "iterations",
+                      "converged"):
+            a, b = getattr(plain, field), getattr(observed, field)
+            assert a.tobytes() == b.tobytes(), field
 
 
 class TestAnalyticScalarPath:

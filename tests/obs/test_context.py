@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 from repro import obs
 from repro.obs import EventLog, MetricsRegistry, Telemetry
 from repro.obs import context as obs_context
+from repro.sweep import GridAxis, SweepSpec, run_sweep
 
 
 class TestActive:
@@ -33,6 +37,61 @@ class TestActive:
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
+        assert obs_context.active() is None
+
+
+class TestThreadIsolation:
+    def test_other_threads_do_not_see_the_bundle(self):
+        seen = []
+        with obs_context.activate(Telemetry(metrics=MetricsRegistry())):
+            t = threading.Thread(target=lambda: seen.append(
+                obs_context.active()))
+            t.start()
+            t.join(timeout=10)
+        assert not t.is_alive()
+        assert seen == [None]
+
+    def test_concurrent_sweeps_keep_their_own_streams(self):
+        """An observed sweep's log holds only its own solves while
+        unobserved sweeps run on other threads, and no bundle is left
+        active afterwards (a shared global lost updates here)."""
+        def spec(n):
+            return SweepSpec(
+                name=f"iso-{n}", evaluator="alltoall-model",
+                base={"P": 8, "St": 40.0, "So": 200.0, "C2": 0.0},
+                axes=(GridAxis("W", tuple(10.0 * (i + 1)
+                                          for i in range(n))),),
+            )
+
+        foreign: list = []
+
+        def observed():
+            for _ in range(20):
+                log = EventLog()
+                run_sweep(spec(7), events=log, progress=lambda *a: None)
+                foreign.extend(
+                    r["points"] for r in log.records
+                    if r["kind"] == "solver.fixed_point_batch"
+                    and r["points"] != 7
+                )
+
+        def plain():
+            for _ in range(20):
+                run_sweep(spec(5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=f)
+                       for f in (observed, plain, plain, observed)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert foreign == []
         assert obs_context.active() is None
 
 

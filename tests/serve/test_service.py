@@ -153,10 +153,28 @@ class TestScheduling:
             assert job.route == "inline"
             assert job.state == "done"  # finished at submit time
             assert job.result is not None
-            assert calls["batch"] >= 1  # chunking may split the grid
+            assert calls["batch"] == 1  # one call for the whole grid
             assert calls["point"] == 0  # the scalar path is never used
             counters = service.metrics_snapshot()["counters"]
             assert counters["serve.jobs.route.inline"] == 1
+
+    def test_inline_job_streams_progress_events(
+        self, tmp_path, make_evaluator
+    ):
+        name, _ = make_evaluator(batch=True)
+        values = (1.0, 2.0, 3.0)
+        with SweepService(tmp_path / "cache.sqlite") as service:
+            job = service.submit_sweep(_spec(name, values=values))
+            assert job.route == "inline"
+            n = len(values)
+            assert job.status()["progress"] == {"done": n, "total": n}
+            events, _ = job.events_since(0)
+            kinds = [e["kind"] for e in events]
+            assert kinds[0] == "sweep.start"
+            assert "sweep.progress" in kinds
+            assert kinds[-1] == "sweep.finish"
+            last = [e for e in events if e["kind"] == "sweep.progress"][-1]
+            assert (last["done"], last["total"]) == (n, n)
 
     def test_plain_evaluator_sweep_runs_on_pool(
         self, tmp_path, make_evaluator
